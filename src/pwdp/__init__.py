@@ -5,13 +5,13 @@ from .decomposition import (
     grid_sweep_decomposition, nicify, parse_decomposition,
 )
 from .engine import (
-    DpRunResult, StateIndex, catalan_allowed, generate_states,
-    reconstruct_solution, run_dp,
+    DpRunResult, catalan_allowed, generate_states, reconstruct_solution,
+    run_dp,
 )
 from .errors import (
     PwdpError, GraphError, GraphFormatError, DecompositionError,
     SizeLimitError, CapacityError, PluginInconsistencyError,
-    UnknownStateError, ReconstructionUnavailableError, NotApplicableError,
+    ReconstructionUnavailableError, NotApplicableError,
 )
 from .graph import Graph, PartialGrid, parse_graph, parse_grid, grid_to_graph
 from .partition import normalize_partition

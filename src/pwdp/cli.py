@@ -75,13 +75,13 @@ def build_parser():
     _add_param_args(sp)
     sp.add_argument("--decomp", default="auto", metavar="SRC",
                     help="auto | grid-sweep | exact-tiny | decomposition file")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--capacity", type=int, default=50_000_000,
                     help="state-slot budget per bag size")
     sp.add_argument("--reconstruct", action="store_true",
                     help="print the certificate block")
     sp.add_argument("--prune-catalan", action="store_true",
-                    help="drop crossing states (grid sweeps, path/cycle cover)")
+                    help="report the noncrossing state bound as max-allowed "
+                         "(grid sweeps, path/cycle cover)")
     sp.add_argument("--dump-tables", action="store_true",
                     help="print per-node sizes and full tables")
 
@@ -178,8 +178,8 @@ def _cmd_solve(args):
     retain = args.reconstruct or args.dump_tables
 
     start = time.perf_counter()
-    result = run_dp(plugin, graph, npd, threads=args.threads,
-                    capacity=args.capacity, retain=retain, allowed=allowed)
+    result = run_dp(plugin, graph, npd, capacity=args.capacity,
+                    retain=retain, allowed=allowed)
     elapsed = time.perf_counter() - start
 
     if result.feasible:

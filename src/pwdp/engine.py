@@ -9,14 +9,13 @@ reconstruction origin deterministically.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .decomposition import FORGET, INTRODUCE, NicePathDecomposition
+from .decomposition import INTRODUCE, NicePathDecomposition
 from .errors import (
-    CapacityError, NotApplicableError, PluginInconsistencyError,
-    ReconstructionUnavailableError, UnknownStateError,
+    CapacityError, DecompositionError, NotApplicableError,
+    PluginInconsistencyError, ReconstructionUnavailableError,
 )
 from .graph import Graph
 
@@ -46,14 +45,29 @@ class NodeCtx:
 
 
 def build_contexts(graph: Graph, npd: NicePathDecomposition) -> List[NodeCtx]:
+    """One context per node, after checking that npd covers graph.
+
+    Nice form introduces each vertex exactly once, so 2n nodes with ids
+    in 1..n cover every vertex, and each edge is seen at most once, at
+    the introduce of its later endpoint.  Counting those sightings
+    against m checks edge coverage in O(n + m).
+    """
+    if len(npd.nodes) != 2 * graph.n:
+        raise DecompositionError(
+            "bad-structure", f"{len(npd.nodes)} nodes for {graph.n} vertices")
     ctxs = []
     prev: Tuple[int, ...] = ()
     last = len(npd.nodes) - 1
+    covered = 0
     for i, node in enumerate(npd.nodes):
         v = node.vertex
         if node.kind == INTRODUCE:
+            if not 1 <= v <= graph.n:
+                raise DecompositionError(
+                    "bad-structure", f"node {i + 1} introduces unknown vertex {v}")
             pos = None
             nbrs = tuple(j for j, u in enumerate(prev) if graph.adjacent(u, v))
+            covered += len(nbrs)
         else:
             pos = prev.index(v)
             nbrs = tuple(j for j, u in enumerate(prev)
@@ -67,62 +81,26 @@ def build_contexts(graph: Graph, npd: NicePathDecomposition) -> List[NodeCtx]:
             vweight=graph.vertex_weight(v), vcost=graph.selection_cost(v),
             is_last=(i == last)))
         prev = node.order
+    if covered != graph.m:
+        raise DecompositionError(
+            "uncovered-edge", f"bags cover {covered} of {graph.m} edges")
     return ctxs
 
 
-class StateIndex:
-    """Enumerated canonical states with a collision-free integer key.
+def generate_states(plugin, nv: int) -> frozenset:
+    """Canonical states of one bag size, enumerated once and cached.
 
-    The key is a mixed-radix number over the state slots; injectivity is
-    certain by construction but still checked exhaustively while the
-    lookup table is built, as is each component's declared domain.
+    An enumeration that yields some state twice is a plugin bug, since
+    count_states and the reported bounds would then overcount.
     """
-
-    def __init__(self, states, domains):
-        self.states = list(states)
-        self.domains = list(domains)
-        self._by_key = {}
-        for pos, s in enumerate(self.states, start=1):
-            key = self.encode(s)
-            if key is None:
-                raise PluginInconsistencyError(
-                    f"enumerated state {s} outside declared domains")
-            if key in self._by_key:
-                other = self.states[self._by_key[key] - 1]
-                raise PluginInconsistencyError(
-                    f"key collision between {other} and {s}")
-            self._by_key[key] = pos
-
-    def encode(self, state):
-        if len(state) != len(self.domains):
-            return None
-        key = 0
-        for x, (lo, hi) in zip(state, self.domains):
-            if not (lo <= x <= hi):
-                return None
-            key = key * (hi - lo + 1) + (x - lo)
-        return key
-
-    def get_index(self, state) -> int:
-        key = self.encode(state)
-        if key is None or key not in self._by_key:
-            raise UnknownStateError(f"state {state} is not enumerated")
-        return self._by_key[key]
-
-    def __contains__(self, state) -> bool:
-        key = self.encode(state)
-        return key is not None and key in self._by_key
-
-    def __len__(self):
-        return len(self.states)
-
-
-def generate_states(plugin, nv: int) -> StateIndex:
-    """Build (or fetch the cached) StateIndex for one bag size."""
-    cache = plugin._index_cache
+    cache = plugin._state_cache
     if nv not in cache:
-        cache[nv] = StateIndex(plugin.enumerate_states(nv),
-                               plugin.slot_domains(nv))
+        states = list(plugin.enumerate_states(nv))
+        unique = frozenset(states)
+        if len(unique) != len(states):
+            raise PluginInconsistencyError(
+                f"enumeration for bag size {nv} repeats a state")
+        cache[nv] = unique
     return cache[nv]
 
 
@@ -146,7 +124,7 @@ def crosses(state) -> bool:
     return False
 
 
-def catalan_prune(idx: StateIndex, plugin, npd) -> StateIndex:
+def catalan_prune(states: frozenset, plugin, npd) -> frozenset:
     """Drop states whose open-path endpoint pairs cross in bag order.
 
     Sound only for path/cycle cover on a row-major grid sweep, where the
@@ -158,11 +136,11 @@ def catalan_prune(idx: StateIndex, plugin, npd) -> StateIndex:
     if not getattr(npd, "from_grid_sweep", False):
         raise NotApplicableError(
             "catalan pruning needs a grid-sweep decomposition")
-    return StateIndex([s for s in idx.states if not crosses(s)], idx.domains)
+    return frozenset(s for s in states if not crosses(s))
 
 
 def catalan_allowed(plugin, npd):
-    """Pruned state index per bag size, ready for run_dp's allowed."""
+    """Noncrossing state set per bag size, ready for run_dp's allowed."""
     out = {}
     for node in npd.nodes:
         nv = len(node.order)
@@ -197,29 +175,19 @@ class DpRunResult:
     certificate: object = None    # filled by the solver facade when retained
 
 
-def _expand_batch(plugin, ctx, actions, items):
-    out = []
-    for state, value in items:
-        for ai, action in enumerate(actions):
-            new_state, new_value, ok = plugin.expand_state(state, ctx,
-                                                           action, value)
-            if ok:
-                out.append((plugin.normalize(new_state), new_value,
-                            state, ai))
-    return out
-
-
 def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
-           threads: int = 1, capacity: int = 50_000_000,
-           retain: bool = False, allowed: Optional[Dict[int, StateIndex]] = None,
+           capacity: int = 50_000_000, retain: bool = False,
+           allowed: Optional[Dict[int, frozenset]] = None,
            validate: bool = False) -> DpRunResult:
     """Run the generic DP loop and select the best valid final state.
 
-    allowed maps bag size to a pruned StateIndex; expansions landing
-    outside it are discarded (used for Catalan pruning).  With retain,
-    every table and origin map is kept for reconstruction.  threads > 1
-    splits predecessor expansion into chunks whose results are merged in
-    order, so tables are identical to the sequential run.
+    Each node expands every predecessor state under every action in
+    order, normalizes the result and merges it into the next table.
+    allowed maps bag size to a pruned state set (Catalan pruning); its
+    sizes are the reported per-node bound and feed the capacity check.
+    With validate, every expansion must land in allowed when given, and
+    in the plugin's full canonical state set otherwise.  With retain,
+    every table and origin map is kept for reconstruction.
     """
     ctxs = build_contexts(graph, npd)
 
@@ -236,57 +204,45 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                 raise CapacityError(
                     f"bag size {nv} needs more than {capacity} state slots")
 
+    expand_state = plugin.expand_state
+    normalize = plugin.normalize
+    better = plugin.better
     table = {plugin.empty_state(): plugin.initial_value()}
     tables = [] if retain else None
     origins = [] if retain else None
     stats = []
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
-    try:
-        for ctx in ctxs:
-            actions = plugin.set_of_actions(ctx)
-            items = list(table.items())
-            if pool is not None and len(items) > 1:
-                chunk = max(1, (len(items) + threads - 1) // threads)
-                parts = [items[i:i + chunk] for i in range(0, len(items), chunk)]
-                batches = pool.map(
-                    lambda part: _expand_batch(plugin, ctx, actions, part),
-                    parts)
-                cand = [c for batch in batches for c in batch]
-            else:
-                cand = _expand_batch(plugin, ctx, actions, items)
-
-            nxt = {}
-            org = {} if retain else None
-            nv = len(ctx.order_after)
-            gate = allowed.get(nv)
-            check = generate_states(plugin, nv) if validate else None
-            for new_state, new_value, prev_state, ai in cand:
-                if gate is not None and new_state not in gate:
+    for ctx in ctxs:
+        actions = plugin.set_of_actions(ctx)
+        nxt = {}
+        org = {} if retain else None
+        for state, value in table.items():
+            for ai, action in enumerate(actions):
+                new_state, new_value, ok = expand_state(state, ctx, action,
+                                                        value)
+                if not ok:
                     continue
-                if check is not None and new_state not in check:
-                    raise PluginInconsistencyError(
-                        f"expansion produced non-canonical state {new_state} "
-                        f"at node {ctx.index + 1}")
-                if new_state in nxt:
-                    if plugin.better(new_value, nxt[new_state]):
-                        nxt[new_state] = new_value
-                        if org is not None:
-                            org[new_state] = (prev_state, ai)
-                else:
+                new_state = normalize(new_state)
+                if new_state not in nxt or better(new_value, nxt[new_state]):
                     nxt[new_state] = new_value
                     if org is not None:
-                        org[new_state] = (prev_state, ai)
+                        org[new_state] = (state, ai)
 
-            table = nxt
-            if retain:
-                tables.append(table)
-                origins.append(org)
-            stats.append(NodeStats(ctx.index + 1, ctx.kind, ctx.vertex, nv,
-                                   allowed_counts[nv], len(table)))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        nv = len(ctx.order_after)
+        if validate:
+            legal = allowed[nv] if nv in allowed else generate_states(plugin, nv)
+            for new_state in nxt:
+                if new_state not in legal:
+                    raise PluginInconsistencyError(
+                        f"expansion produced state {new_state} outside the "
+                        f"{'allowed' if nv in allowed else 'canonical'} set "
+                        f"at node {ctx.index + 1}")
+        table = nxt
+        if retain:
+            tables.append(table)
+            origins.append(org)
+        stats.append(NodeStats(ctx.index + 1, ctx.kind, ctx.vertex, nv,
+                               allowed_counts[nv], len(table)))
 
     result = DpRunResult(feasible=False, stats=stats, plugin=plugin,
                          graph=graph, npd=npd, contexts=ctxs,

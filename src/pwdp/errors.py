@@ -39,11 +39,8 @@ class CapacityError(PwdpError):
 
 
 class PluginInconsistencyError(PwdpError):
-    """A plugin produced a state outside its declared domain."""
-
-
-class UnknownStateError(PwdpError):
-    """State not present in a state index (non-canonical or out of domain)."""
+    """A plugin's states disagree with its state space: the enumeration
+    repeats a state, or an expansion lands outside the legal set."""
 
 
 class ReconstructionUnavailableError(PwdpError):

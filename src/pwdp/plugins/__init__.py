@@ -52,7 +52,7 @@ _FACTORIES = {
     "avg-path": lambda g, p: AvgPathProblem(g, _need(p, "L"), _need(p, "U")),
     "mwis": lambda g, p: MwisProblem(g),
     "rect-cover": lambda g, p: RectCoverProblem(
-        g, p["grid"], p["pieces"]),
+        g, _need(p, "grid", lambda grid: grid), _need(p, "pieces", list)),
 }
 
 PLUGIN_NAMES = tuple(sorted(_FACTORIES))

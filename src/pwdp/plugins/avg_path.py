@@ -61,9 +61,6 @@ class AvgPathProblem(ProblemDefinition):
                 for f in range(max(frag_lb, 1), x + 1):
                     yield s + (x, f)
 
-    def slot_domains(self, nv):
-        return [(-2, nv)] * nv + [(0, self.U), (0, self.U)]
-
     def empty_state(self):
         return (0, 0)
 

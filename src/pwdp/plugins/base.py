@@ -12,7 +12,7 @@ inapplicable to that predecessor, standing in for an infinite cost.
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 
 class ProblemDefinition:
@@ -21,15 +21,11 @@ class ProblemDefinition:
 
     def __init__(self, graph):
         self.graph = graph
-        self._index_cache = {}
+        self._state_cache = {}
 
     # ----- state space -----
 
     def enumerate_states(self, nv: int) -> Iterable[tuple]:
-        raise NotImplementedError
-
-    def slot_domains(self, nv: int) -> List[Tuple[int, int]]:
-        """Inclusive (lo, hi) range of each state slot, for injective keys."""
         raise NotImplementedError
 
     def count_states(self, nv: int, cap: Optional[int] = None) -> int:

@@ -30,9 +30,6 @@ class ColoringProblem(ProblemDefinition):
     def enumerate_states(self, nv):
         return itertools.product(range(1, self.C + 1), repeat=nv)
 
-    def slot_domains(self, nv):
-        return [(1, self.C)] * nv
-
     def count_states(self, nv, cap=None):
         return self.C ** nv
 
@@ -85,9 +82,6 @@ class CanonicalColoringProblem(ColoringProblem):
 
     def enumerate_states(self, nv):
         return restricted_growth_strings(nv, max_classes=self.C)
-
-    def slot_domains(self, nv):
-        return [(1, min(i + 1, self.C)) for i in range(nv)]
 
     def count_states(self, nv, cap=None):
         return count_partitions(nv, self.C)

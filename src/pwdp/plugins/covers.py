@@ -71,9 +71,6 @@ class PathCoverProblem(ProblemDefinition):
     def enumerate_states(self, nv):
         return _enum_fragment_states(nv, (-1, 0), pair_only=False)
 
-    def slot_domains(self, nv):
-        return [(-1, nv)] * nv
-
     def count_states(self, nv, cap=None):
         return sum(comb(nv, q) * 2 ** (nv - q) * _involutions(q)
                    for q in range(nv + 1))

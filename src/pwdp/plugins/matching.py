@@ -25,9 +25,6 @@ class MinMaximalMatchingProblem(ProblemDefinition):
     def enumerate_states(self, nv):
         return itertools.product((FREE, MATCHED, OBLIGATED), repeat=nv)
 
-    def slot_domains(self, nv):
-        return [(0, 2)] * nv
-
     def count_states(self, nv, cap=None):
         return 3 ** nv
 

@@ -45,9 +45,6 @@ class RectCoverProblem(ProblemDefinition):
     def enumerate_states(self, nv):
         return itertools.product(range(self.R + 1), repeat=nv)
 
-    def slot_domains(self, nv):
-        return [(0, self.R)] * nv
-
     def count_states(self, nv, cap=None):
         return (self.R + 1) ** nv
 

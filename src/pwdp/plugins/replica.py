@@ -34,9 +34,6 @@ class KReplicaProblem(ProblemDefinition):
             for x in range(self.k + 1):
                 yield bits + (x,)
 
-    def slot_domains(self, nv):
-        return [(0, 1)] * nv + [(0, self.k)]
-
     def count_states(self, nv, cap=None):
         return 2 ** nv * (self.k + 1)
 
@@ -93,9 +90,6 @@ class MwisProblem(ProblemDefinition):
 
     def enumerate_states(self, nv):
         return itertools.product((0, 1), repeat=nv)
-
-    def slot_domains(self, nv):
-        return [(0, 1)] * nv
 
     def count_states(self, nv, cap=None):
         return 2 ** nv

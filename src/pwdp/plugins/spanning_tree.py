@@ -42,13 +42,6 @@ class MaxLeafTreeProblem(ProblemDefinition):
                     out.append(d)
                 yield tuple(out)
 
-    def slot_domains(self, nv):
-        out = []
-        for i in range(nv):
-            out.append((1, i + 1))
-            out.append((0, 2))
-        return out
-
     def set_of_actions(self, ctx):
         if ctx.kind != INTRODUCE:
             return [FORGET_ACTION]

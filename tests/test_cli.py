@@ -86,15 +86,6 @@ def test_rect_cover_on_grid(tmp_path, capsys):
     assert len([l for l in lines if l.startswith("place ")]) == 6
 
 
-def test_threads_agree(tmp_path, capsys):
-    g = write(tmp_path, "g23.grid", GRID23)
-    _, out1, _ = run(capsys, "solve", "cycle-cover", "--grid", g,
-                     "--threads", "1")
-    _, out4, _ = run(capsys, "solve", "cycle-cover", "--grid", g,
-                     "--threads", "4")
-    assert out1.splitlines()[0] == out4.splitlines()[0] == "objective 1"
-
-
 def test_states_canonical_count(capsys):
     code, out, _ = run(capsys, "states", "coloring-canonical",
                        "-C", "7", "--nv", "9")
@@ -148,6 +139,13 @@ def test_missing_param_is_error(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "coloring", "--graph", g)
     assert code == 1
     assert "C" in err
+
+
+def test_rect_cover_without_piece_is_error(tmp_path, capsys):
+    g = write(tmp_path, "g23.grid", GRID23)
+    code, _, err = run(capsys, "solve", "rect-cover", "--grid", g)
+    assert code == 1
+    assert "missing required parameter 'pieces'" in err
 
 
 def test_auto_needs_file_beyond_tiny(tmp_path, capsys):

@@ -1,16 +1,19 @@
 import pytest
 
-from pwdp.decomposition import exact_pathwidth_decomposition, grid_sweep_decomposition
+from pwdp.decomposition import (
+    FORGET, INTRODUCE, NiceNode, NicePathDecomposition,
+    exact_pathwidth_decomposition, grid_sweep_decomposition,
+)
 from pwdp.engine import (
-    StateIndex, catalan_allowed, catalan_prune, crosses, generate_states,
+    catalan_allowed, catalan_prune, crosses, generate_states,
     reconstruct_solution, run_dp,
 )
 from pwdp.errors import (
-    CapacityError, NotApplicableError, PluginInconsistencyError,
-    ReconstructionUnavailableError, UnknownStateError,
+    CapacityError, DecompositionError, NotApplicableError,
+    PluginInconsistencyError, ReconstructionUnavailableError,
 )
 from pwdp.graph import Graph, PartialGrid, grid_to_graph
-from pwdp.plugins import make_plugin
+from pwdp.plugins import PLUGIN_NAMES, make_plugin
 from pwdp.plugins.base import ProblemDefinition
 from pwdp.plugins.coloring import CanonicalColoringProblem
 
@@ -24,39 +27,23 @@ def full_grid(m, n):
     return PartialGrid(m, n, cells, frozenset())
 
 
-class TestStateIndex:
-    def test_roundtrip(self):
-        idx = StateIndex([(0, 0), (0, 1), (2, 1)], [(0, 2), (0, 1)])
-        assert len(idx) == 3
-        for pos, s in enumerate(idx.states, start=1):
-            assert idx.get_index(s) == pos
-            assert s in idx
+def nice(*events):
+    """Nice decomposition from (kind, vertex) events, in that order."""
+    nodes, bag = [], ()
+    for kind, v in events:
+        bag = bag + (v,) if kind == INTRODUCE else tuple(u for u in bag if u != v)
+        nodes.append(NiceNode(kind, v, bag))
+    return NicePathDecomposition(nodes)
 
-    def test_unknown_state(self):
-        idx = StateIndex([(0, 0)], [(0, 1), (0, 1)])
-        assert (1, 1) not in idx
-        with pytest.raises(UnknownStateError):
-            idx.get_index((1, 1))
-        with pytest.raises(UnknownStateError):
-            idx.get_index((0, 0, 0))  # wrong arity
+
+class TestStateIndex:
+    """generate_states: one cached frozenset of canonical states per bag size."""
 
     def test_duplicate_state_rejected(self):
+        plugin = RepeatingEnumeration(Graph(2, []))
         with pytest.raises(PluginInconsistencyError):
-            StateIndex([(0, 1), (0, 1)], [(0, 1), (0, 1)])
-
-    def test_out_of_domain_rejected(self):
-        with pytest.raises(PluginInconsistencyError):
-            StateIndex([(0, 5)], [(0, 1), (0, 1)])
-
-    def test_injective_over_full_domain(self):
-        # every state of a 3-slot mixed-radix domain maps to a distinct key
-        domains = [(-1, 2), (0, 3), (-2, 0)]
-        states = [(a, b, c)
-                  for a in range(-1, 3)
-                  for b in range(0, 4)
-                  for c in range(-2, 1)]
-        idx = StateIndex(states, domains)
-        assert len({idx.encode(s) for s in states}) == len(states)
+            generate_states(plugin, 2)
+        assert 2 not in plugin._state_cache
 
     def test_canonical_coloring_count(self):
         g = Graph(9, [])
@@ -135,22 +122,9 @@ class TestRunDp:
         assert r1.objective == r2.objective
         for t1, t2 in zip(r1.tables, r2.tables):
             assert list(t1.items()) == list(t2.items())
+        for o1, o2 in zip(r1.origins, r2.origins):
+            assert list(o1.items()) == list(o2.items())
         assert reconstruct_solution(r1) == reconstruct_solution(r2)
-
-    def test_threads_bit_identical(self):
-        grid = full_grid(3, 4)
-        g = grid_to_graph(grid)
-        npd, _ = grid_sweep_decomposition(grid)
-        plugin = make_plugin("path-cover", g)
-        seq = run_dp(plugin, g, npd, threads=1, retain=True)
-        par = run_dp(plugin, g, npd, threads=4, retain=True)
-        assert seq.objective == par.objective
-        assert seq.final_state == par.final_state
-        for t1, t2 in zip(seq.tables, par.tables):
-            assert list(t1.items()) == list(t2.items())
-        for o1, o2 in zip(seq.origins, par.origins):
-            assert o1 == o2
-        assert reconstruct_solution(seq) == reconstruct_solution(par)
 
     def test_reconstruction_needs_retain(self):
         g = path_graph(3)
@@ -166,6 +140,26 @@ class TestRunDp:
         assert not res.feasible
         with pytest.raises(ReconstructionUnavailableError):
             reconstruct_solution(res)
+
+    def test_rejects_decomposition_missing_an_edge(self):
+        # a P3 decomposition never holds 1 and 3 together, so the
+        # triangle would wrongly come out 2-colorable
+        triangle = Graph(3, [(1, 2), (1, 3), (2, 3)])
+        npd, _ = exact_pathwidth_decomposition(path_graph(3))
+        with pytest.raises(DecompositionError) as ei:
+            run_dp(make_plugin("coloring", triangle, C=2), triangle, npd)
+        assert ei.value.kind == "uncovered-edge"
+
+    def test_rejects_decomposition_of_other_vertices(self):
+        g = path_graph(3)
+        # six nodes, as for three vertices, but vertex 4 stands in for 3
+        foreign = nice((INTRODUCE, 1), (INTRODUCE, 2), (FORGET, 1),
+                       (INTRODUCE, 4), (FORGET, 2), (FORGET, 4))
+        short, _ = exact_pathwidth_decomposition(path_graph(2))
+        for npd in (foreign, short):
+            with pytest.raises(DecompositionError) as ei:
+                run_dp(make_plugin("mwis", g), g, npd)
+            assert ei.value.kind == "bad-structure"
 
 
 class NonCanonicalColoring(CanonicalColoringProblem):
@@ -190,6 +184,46 @@ class TestValidateMode:
         res = run_dp(plugin, g, npd, validate=True)
         assert res.feasible
 
+    @pytest.mark.parametrize("name", PLUGIN_NAMES)
+    def test_every_plugin_passes_and_matches(self, name):
+        grid = full_grid(2, 3)
+        g = grid_to_graph(grid)
+        params = {"C": 2, "k": 3, "L": 2, "U": 4,
+                  "grid": grid, "pieces": [(1, 2), (2, 2)]}
+        if name == "rect-cover":
+            npd, _ = grid_sweep_decomposition(grid, transpose=False, widen=True)
+        else:
+            npd, _ = exact_pathwidth_decomposition(g)
+        plain = run_dp(make_plugin(name, g, **params), g, npd)
+        checked = run_dp(make_plugin(name, g, **params), g, npd, validate=True)
+        assert checked.objective == plain.objective
+        assert ([s.filled for s in checked.stats]
+                == [s.filled for s in plain.stats])
+
+    @pytest.mark.parametrize("name", ["path-cover", "cycle-cover"])
+    def test_grid_sweep_stays_noncrossing(self, name):
+        grid = full_grid(4, 4)
+        g = grid_to_graph(grid)
+        npd, _ = grid_sweep_decomposition(grid)
+        plugin = make_plugin(name, g)
+        res = run_dp(plugin, g, npd, validate=True,
+                     allowed=catalan_allowed(plugin, npd))
+        assert res.feasible
+
+    def test_crossing_state_caught(self):
+        # edges 1-3 and 2-4 with all four vertices in one bag: the open
+        # paths' endpoints interleave, which no planar sweep produces
+        g = Graph(4, [(1, 3), (2, 4)])
+        npd = nice(*[(INTRODUCE, v) for v in (1, 2, 3, 4)],
+                   *[(FORGET, v) for v in (1, 2, 3, 4)])
+        plugin = make_plugin("path-cover", g)
+        noncrossing = {nv: frozenset(s for s in generate_states(plugin, nv)
+                                     if not crosses(s))
+                       for nv in range(5)}
+        run_dp(plugin, g, npd, validate=True)
+        with pytest.raises(PluginInconsistencyError, match=r"\(1, 2, 1, 2\)"):
+            run_dp(plugin, g, npd, validate=True, allowed=noncrossing)
+
 
 class TinyCount(ProblemDefinition):
     name = "tiny"
@@ -198,8 +232,11 @@ class TinyCount(ProblemDefinition):
     def enumerate_states(self, nv):
         yield (0,) * nv
 
-    def slot_domains(self, nv):
-        return [(0, 0)] * nv
+
+class RepeatingEnumeration(TinyCount):
+    def enumerate_states(self, nv):
+        yield (0,) * nv
+        yield (0,) * nv
 
 
 def test_default_count_states_cap_abort():
