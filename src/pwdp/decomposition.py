@@ -14,6 +14,30 @@ from .errors import DecompositionError, GraphFormatError, SizeLimitError
 from .graph import Graph, PartialGrid, grid_to_graph
 
 
+def _check_cover(graph: Graph, first, end, gaps=()) -> None:
+    """The one coverage rule for both forms, in O(n + m): v sits in the
+    bags at positions first[v] <= t < end[v] (first in order of appearance;
+    gaps lists broken runs) and an edge is covered when its ends' runs
+    overlap.  Faults are reported in the order of the checks below."""
+    for v, t in first.items():
+        if not 1 <= v <= graph.n:
+            raise DecompositionError(
+                "bad-structure", f"bag {t + 1} holds unknown vertex {v}")
+    if len(first) < graph.n:
+        v = next(v for v in graph.vertices() if v not in first)
+        raise DecompositionError("missing-vertex", f"vertex {v} is in no bag")
+    if gaps:
+        v = min(gaps, key=lambda u: (first[u], u))
+        raise DecompositionError(
+            "non-contiguous-vertex",
+            f"vertex {v} occurs in bags {first[v] + 1} and {end[v]} "
+            f"but not throughout")
+    for u, v in graph.edges:
+        if first[u] >= end[v] or first[v] >= end[u]:
+            raise DecompositionError(
+                "uncovered-edge", f"edge ({u},{v}) shares no bag")
+
+
 class PathDecomposition:
     """Plain sequence-of-bags form."""
 
@@ -30,35 +54,17 @@ class PathDecomposition:
     def width(self) -> int:
         return max(len(b) for b in self.bags) - 1
 
-    def vertices(self):
-        out = set()
-        for b in self.bags:
-            out.update(b)
-        return out
-
     def validate(self, graph: Graph) -> None:
         """Raise DecompositionError unless this decomposes graph."""
-        seen_at = {}
+        first, end, gaps = {}, {}, []
         for t, bag in enumerate(self.bags):
             for v in bag:
-                if not (1 <= v <= graph.n):
-                    raise DecompositionError(
-                        "bad-structure", f"bag {t + 1} holds unknown vertex {v}")
-                seen_at.setdefault(v, []).append(t)
-        for v in graph.vertices():
-            if v not in seen_at:
-                raise DecompositionError("missing-vertex", f"vertex {v} is in no bag")
-        for v, ts in seen_at.items():
-            if ts[-1] - ts[0] + 1 != len(ts):
-                raise DecompositionError(
-                    "non-contiguous-vertex",
-                    f"vertex {v} occurs in bags {ts[0] + 1} and {ts[-1] + 1} "
-                    f"but not throughout")
-        for u, v in graph.edges:
-            if not any(u in b and v in b for b in
-                       (set(bag) for bag in self.bags)):
-                raise DecompositionError(
-                    "uncovered-edge", f"edge ({u},{v}) shares no bag")
+                if v not in first:
+                    first[v] = t
+                elif end[v] != t:
+                    gaps.append(v)
+                end[v] = t + 1
+        _check_cover(graph, first, end, gaps)
 
     def __eq__(self, other):
         if not isinstance(other, PathDecomposition):
@@ -106,7 +112,6 @@ class NicePathDecomposition:
     def _check(self):
         prev: Tuple[int, ...] = ()
         introduced = set()
-        forgotten = set()
         for i, node in enumerate(self.nodes, start=1):
             if node.kind == INTRODUCE:
                 if node.vertex in introduced:
@@ -124,14 +129,13 @@ class NicePathDecomposition:
                 if node.order != expect:
                     raise DecompositionError(
                         "bad-structure", f"node {i} reorders survivors")
-                forgotten.add(node.vertex)
             else:
                 raise DecompositionError("bad-structure", f"unknown kind {node.kind!r}")
             prev = node.order
+        # an empty final bag means every introduced vertex was forgotten,
+        # and no vertex returns, so each is forgotten exactly once
         if prev:
             raise DecompositionError("bad-structure", "final bag not empty")
-        if introduced != forgotten:
-            raise DecompositionError("bad-structure", "introduce/forget mismatch")
 
     @property
     def p(self) -> int:
@@ -146,11 +150,15 @@ class NicePathDecomposition:
                                   if node.order] or [()])
 
     def validate(self, graph: Graph) -> None:
+        """Like PathDecomposition.validate; runs are contiguous by
+        construction, and 2n nodes name n vertices."""
         if self.p != 2 * graph.n:
             raise DecompositionError(
                 "bad-structure", f"{self.p} nodes for {graph.n} vertices")
-        # Reuse the bag-form checks for coverage and contiguity.
-        PathDecomposition([node.order for node in self.nodes]).validate(graph)
+        first, end = {}, {}
+        for i, node in enumerate(self.nodes):
+            (first if node.kind == INTRODUCE else end)[node.vertex] = i
+        _check_cover(graph, first, end)
 
 
 def nicify(pd: PathDecomposition, graph: Optional[Graph] = None) -> NicePathDecomposition:
@@ -158,44 +166,31 @@ def nicify(pd: PathDecomposition, graph: Optional[Graph] = None) -> NicePathDeco
 
     Between consecutive bags all forgets happen before all introduces,
     each group in ascending vertex order.  With a graph supplied the bag
-    form is fully validated first; otherwise only contiguity is checked.
+    form is validated first (the same O(n + m) check as validate-decomp
+    and run_dp); otherwise a vertex introduced again after its forget
+    raises non-contiguous-vertex.
     """
     if graph is not None:
         pd.validate(graph)
-    else:
-        first = {}
-        last = {}
-        for t, bag in enumerate(pd.bags):
-            for v in bag:
-                first.setdefault(v, t)
-                last[v] = t
-        for t, bag in enumerate(pd.bags):
-            for v in set(first) - set(bag):
-                if first[v] < t < last[v]:
-                    raise DecompositionError(
-                        "non-contiguous-vertex",
-                        f"vertex {v} missing from bag {t + 1} inside its run")
 
     nodes: List[NiceNode] = []
     order: List[int] = []
-
-    def emit(kind, v):
-        if kind == INTRODUCE:
-            order.append(v)
-        else:
-            order.remove(v)
-        nodes.append(NiceNode(kind, v, tuple(order)))
-
+    gone = {}
     prev = set()
-    for bag in pd.bags:
+    for t, bag in enumerate(pd.bags + ((),)):
         cur = set(bag)
         for v in sorted(prev - cur):
-            emit(FORGET, v)
+            order.remove(v)
+            gone[v] = t
+            nodes.append(NiceNode(FORGET, v, tuple(order)))
         for v in sorted(cur - prev):
-            emit(INTRODUCE, v)
+            if v in gone:
+                raise DecompositionError(
+                    "non-contiguous-vertex",
+                    f"vertex {v} missing from bag {gone[v] + 1} inside its run")
+            order.append(v)
+            nodes.append(NiceNode(INTRODUCE, v, tuple(order)))
         prev = cur
-    for v in sorted(prev):
-        emit(FORGET, v)
     return NicePathDecomposition(nodes)
 
 

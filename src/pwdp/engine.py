@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .decomposition import INTRODUCE, NicePathDecomposition
 from .errors import (
-    CapacityError, DecompositionError, NotApplicableError,
+    CapacityError, NotApplicableError,
     PluginInconsistencyError, ReconstructionUnavailableError,
 )
 from .graph import Graph
@@ -45,29 +45,17 @@ class NodeCtx:
 
 
 def build_contexts(graph: Graph, npd: NicePathDecomposition) -> List[NodeCtx]:
-    """One context per node, after checking that npd covers graph.
-
-    Nice form introduces each vertex exactly once, so 2n nodes with ids
-    in 1..n cover every vertex, and each edge is seen at most once, at
-    the introduce of its later endpoint.  Counting those sightings
-    against m checks edge coverage in O(n + m).
-    """
-    if len(npd.nodes) != 2 * graph.n:
-        raise DecompositionError(
-            "bad-structure", f"{len(npd.nodes)} nodes for {graph.n} vertices")
+    """One context per node, after npd.validate(graph) has checked in
+    O(n + m) that npd covers every vertex and edge of graph."""
+    npd.validate(graph)
     ctxs = []
     prev: Tuple[int, ...] = ()
     last = len(npd.nodes) - 1
-    covered = 0
     for i, node in enumerate(npd.nodes):
         v = node.vertex
         if node.kind == INTRODUCE:
-            if not 1 <= v <= graph.n:
-                raise DecompositionError(
-                    "bad-structure", f"node {i + 1} introduces unknown vertex {v}")
             pos = None
             nbrs = tuple(j for j, u in enumerate(prev) if graph.adjacent(u, v))
-            covered += len(nbrs)
         else:
             pos = prev.index(v)
             nbrs = tuple(j for j, u in enumerate(prev)
@@ -81,9 +69,6 @@ def build_contexts(graph: Graph, npd: NicePathDecomposition) -> List[NodeCtx]:
             vweight=graph.vertex_weight(v), vcost=graph.selection_cost(v),
             is_last=(i == last)))
         prev = node.order
-    if covered != graph.m:
-        raise DecompositionError(
-            "uncovered-edge", f"bags cover {covered} of {graph.m} edges")
     return ctxs
 
 

@@ -35,10 +35,11 @@ class Graph:
             norm.append(e)
         self.edges = tuple(sorted(norm))
         self._edge_set = frozenset(self.edges)
-        nbrs = {v: [] for v in range(1, n + 1)}
+        # isolated vertices get no entry, so a huge header costs nothing
+        nbrs = {}
         for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+            nbrs.setdefault(u, []).append(v)
+            nbrs.setdefault(v, []).append(u)
         self._neighbors = {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
 
         self._vertex_weights = self._check_vmap(vertex_weights, "vertex weight")
@@ -75,10 +76,12 @@ class Graph:
         return _norm_edge(u, v) in self._edge_set
 
     def neighbors(self, v):
-        return self._neighbors[v]
+        if not 1 <= v <= self.n:
+            raise GraphError(f"vertex {v} out of range 1..{self.n}")
+        return self._neighbors.get(v, ())
 
     def degree(self, v):
-        return len(self._neighbors[v])
+        return len(self.neighbors(v))
 
     def vertex_weight(self, v):
         return self._vertex_weights.get(v, 1)

@@ -115,6 +115,18 @@ def test_validate_decomp_rejects(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_decomp_file_missing_vertex_same_kind_everywhere(tmp_path, capsys):
+    # one bag of P4 misses vertices 3 and 4; every entry point must name
+    # the missing vertex, not the node count of the nice form
+    g = write(tmp_path, "p4.g", P4)
+    d = write(tmp_path, "short.pd", "pd 1\nbag 1 2\n")
+    for argv in (("validate-decomp",), ("nicify",), ("solve", "mwis")):
+        code, out, err = run(capsys, *argv, "--graph", g, "--decomp", d)
+        assert code == 1
+        assert "missing-vertex" in err
+        assert out == ""
+
+
 def test_nicify_round_trip(tmp_path, capsys):
     g = write(tmp_path, "p4.g", P4)
     d = write(tmp_path, "p4.pd", P4_PD)

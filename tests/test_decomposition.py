@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pwdp.decomposition import (
     FORGET, INTRODUCE, NiceNode, NicePathDecomposition, PathDecomposition,
     exact_pathwidth_decomposition, grid_sweep_decomposition, nicify,
     parse_decomposition,
 )
+from pwdp.engine import build_contexts
 from pwdp.errors import DecompositionError, GraphFormatError, SizeLimitError
 from pwdp.graph import Graph, parse_graph, parse_grid, grid_to_graph
 
@@ -241,3 +243,115 @@ def test_nicify_without_graph_checks_contiguity():
     pd = PathDecomposition([(1,), (2,), (1,)])
     with pytest.raises(DecompositionError):
         nicify(pd)
+
+
+# --- one coverage rule, checked against the plain definition -------------
+
+def reference_kind(pd, graph):
+    """The bag-form definition, checked directly and slowly.
+
+    Faults are looked for in a fixed order: a bag holds an unknown id,
+    a vertex is in no bag, a vertex's bags are not consecutive, an edge
+    has both ends in no common bag.  Returns the first fault's kind, or
+    None for a valid decomposition.
+    """
+    if any(not 1 <= v <= graph.n for bag in pd.bags for v in bag):
+        return "bad-structure"
+    if any(all(v not in bag for bag in pd.bags) for v in graph.vertices()):
+        return "missing-vertex"
+    if has_broken_run(pd):
+        return "non-contiguous-vertex"
+    for u, v in graph.edges:
+        if not any(u in bag and v in bag for bag in pd.bags):
+            return "uncovered-edge"
+    return None
+
+
+def has_broken_run(pd):
+    seen_at = {}
+    for t, bag in enumerate(pd.bags):
+        for v in bag:
+            seen_at.setdefault(v, []).append(t)
+    return any(ts[-1] - ts[0] + 1 != len(ts) for ts in seen_at.values())
+
+
+def kind_of(check, *args):
+    try:
+        check(*args)
+    except DecompositionError as e:
+        return e.kind
+    return None
+
+
+@st.composite
+def graphs_with_bags(draw):
+    """A graph with a valid decomposition, then up to three faults.
+
+    Each vertex gets an interval of bag positions and edges join only
+    overlapping intervals.  Faults: an id out of range in some bag, a
+    vertex dropped from every bag, a gap in a vertex's run (the vertex
+    joins a bag at least one bag away, else leaves one of its bags) and
+    an edge added to the graph, between intervals drawn apart when there
+    are such.
+    """
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 6))
+    spans = []
+    for _ in range(n):
+        a = draw(st.integers(0, p - 1))
+        spans.append((a, draw(st.integers(a, p - 1))))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    overlapping = [(u, v) for u, v in pairs
+                   if max(spans[u - 1][0], spans[v - 1][0])
+                   <= min(spans[u - 1][1], spans[v - 1][1])]
+    edges = set(draw(st.lists(st.sampled_from(overlapping), unique=True))
+                if overlapping else [])
+    bags = [{v for v in range(1, n + 1)
+             if spans[v - 1][0] <= t <= spans[v - 1][1]} for t in range(p)]
+    vertex = st.integers(1, n)
+    for fault in draw(st.lists(st.sampled_from(
+            ["unknown-id", "drop-vertex", "gap", "extra-edge"]), max_size=3)):
+        if fault == "unknown-id":
+            bags[draw(st.integers(0, p - 1))].add(
+                draw(st.sampled_from([0, -1, n + 1, n + 7])))
+        elif fault == "drop-vertex":
+            v = draw(vertex)
+            for bag in bags:
+                bag.discard(v)
+        elif fault == "gap":
+            v = draw(vertex)
+            held = [t for t, bag in enumerate(bags) if v in bag]
+            far = [t for t in range(p)
+                   if held and not held[0] - 1 <= t <= held[-1] + 1]
+            if far:
+                bags[draw(st.sampled_from(far))].add(v)
+            elif held:
+                bags[draw(st.sampled_from(held[1:-1] or held))].discard(v)
+        elif pairs:
+            apart = [e for e in pairs if e not in overlapping]
+            edges.add(draw(st.sampled_from(apart or pairs)))
+    return Graph(n, sorted(edges)), PathDecomposition(bags)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(graphs_with_bags())
+def test_single_check_matches_definition(case):
+    g, pd = case
+    want = reference_kind(pd, g)
+    assert kind_of(pd.validate, g) == want
+    assert kind_of(nicify, pd, g) == want
+
+    # without a graph only contiguity is checked; the nice form then
+    # meets the same rule in validate and in run_dp's context building
+    try:
+        npd = nicify(pd)
+    except DecompositionError as e:
+        # bad-structure: no bag holds anything, so there are no nodes
+        assert e.kind == ("non-contiguous-vertex" if has_broken_run(pd)
+                          else "bad-structure")
+        return
+    assert not has_broken_run(pd)
+    nice_want = ("bad-structure" if npd.p != 2 * g.n else reference_kind(
+        PathDecomposition([nd.order for nd in npd.nodes]), g))
+    assert kind_of(npd.validate, g) == nice_want
+    assert kind_of(build_contexts, g, npd) == nice_want

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 
-from pwdp.errors import GraphError, GraphFormatError
+from pwdp.decomposition import nicify, parse_decomposition
+from pwdp.errors import DecompositionError, GraphError, GraphFormatError
 from pwdp.graph import (
     Graph, PartialGrid, grid_to_graph, parse_graph, parse_grid,
     serialize_grid,
@@ -75,6 +78,32 @@ def test_adjacency_is_symmetric():
             assert g.adjacent(u, v) == g.adjacent(v, u)
     assert g.neighbors(2) == (1, 3)
     assert g.degree(1) == 2
+
+
+def test_isolated_and_unknown_vertex_neighbors():
+    g = Graph(5, [(1, 2)])
+    assert g.neighbors(5) == ()
+    assert g.degree(5) == 0
+    for v in (0, 6):
+        with pytest.raises(GraphError):
+            g.neighbors(v)
+        with pytest.raises(GraphError):
+            g.degree(v)
+
+
+def test_huge_header_allocates_nothing_per_vertex():
+    # a header alone must not cost memory in proportion to n, and the
+    # decomposition check must stop at the first missing vertex
+    tracemalloc.start()
+    try:
+        g = parse_graph("graph 1000000 0\n")
+        with pytest.raises(DecompositionError) as ei:
+            nicify(parse_decomposition("pd 1\nbag 1\n"), g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ei.value.kind == "missing-vertex"
+    assert peak < 1_000_000
 
 
 def test_serialize_parse_round_trip():
