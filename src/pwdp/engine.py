@@ -28,7 +28,9 @@ class NodeCtx:
     node the new vertex is appended last, so order_before is the bag it
     joins; nbrs lists the bag positions of its graph neighbors.  For a
     forget node pos is where the leaving vertex sits and nbrs lists its
-    neighbors among the other bag members.
+    neighbors among the other bag members.  Contexts carry structure
+    only: plugins read weights, penalties and costs from their bound
+    graph.
     """
     index: int
     kind: str
@@ -37,10 +39,6 @@ class NodeCtx:
     order_after: Tuple[int, ...]
     pos: Optional[int]
     nbrs: Tuple[int, ...]
-    eweights: Tuple[int, ...]
-    epens: Tuple[int, ...]
-    vweight: int
-    vcost: int
     is_last: bool
 
 
@@ -63,11 +61,7 @@ def build_contexts(graph: Graph, npd: NicePathDecomposition) -> List[NodeCtx]:
         ctxs.append(NodeCtx(
             index=i, kind=node.kind, vertex=v,
             order_before=prev, order_after=node.order,
-            pos=pos, nbrs=nbrs,
-            eweights=tuple(graph.edge_weight(prev[j], v) for j in nbrs),
-            epens=tuple(graph.edge_penalty(prev[j], v) for j in nbrs),
-            vweight=graph.vertex_weight(v), vcost=graph.selection_cost(v),
-            is_last=(i == last)))
+            pos=pos, nbrs=nbrs, is_last=(i == last)))
         prev = node.order
     return ctxs
 
@@ -172,8 +166,12 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     sizes are the reported per-node bound and feed the capacity check.
     With validate, every expansion must land in allowed when given, and
     in the plugin's full canonical state set otherwise.  With retain,
-    every table and origin map is kept for reconstruction.
+    every table and origin map is kept for reconstruction.  The plugin
+    must be bound to graph itself, since it reads weights from there.
     """
+    if plugin.graph is not graph:
+        raise NotApplicableError(
+            f"{plugin.name} plugin is bound to another graph")
     ctxs = build_contexts(graph, npd)
 
     allowed = allowed or {}
@@ -184,7 +182,7 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
             if nv in allowed:
                 allowed_counts[nv] = len(allowed[nv])
             else:
-                allowed_counts[nv] = plugin.count_states(nv, cap=capacity)
+                allowed_counts[nv] = plugin.count_states(nv)
             if allowed_counts[nv] > capacity:
                 raise CapacityError(
                     f"bag size {nv} needs more than {capacity} state slots")

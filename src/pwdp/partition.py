@@ -60,6 +60,33 @@ def restricted_growth_strings(n: int, max_classes: int = None):
     yield from rec(0, 0)
 
 
+def fragment_states(nv, frozen_vals, pair_only):
+    """All canonical tuples over frozen values plus fragment ids.
+
+    Ids appear at most twice; with pair_only, states where an id ended
+    up unpaired are dropped (both endpoints of an open cycle must stay
+    in the bag).
+    """
+    state = [0] * nv
+
+    def rec(i, open_ids, closed_max):
+        if i == nv:
+            if not pair_only or not open_ids:
+                yield tuple(state)
+            return
+        for v in frozen_vals:
+            state[i] = v
+            yield from rec(i + 1, open_ids, closed_max)
+        for pid in sorted(open_ids):
+            state[i] = pid
+            yield from rec(i + 1, open_ids - {pid}, closed_max)
+        fresh = closed_max + 1
+        state[i] = fresh
+        yield from rec(i + 1, open_ids | {fresh}, fresh)
+
+    yield from rec(0, frozenset(), 0)
+
+
 def count_partitions(n: int, max_classes: int = None) -> int:
     """Number of partitions of an n-set into at most max_classes classes.
 

@@ -11,10 +11,11 @@ exact rational.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 
 from ..decomposition import INTRODUCE
-from ..partition import normalize_partition
-from .base import ProblemDefinition
+from ..partition import fragment_states, normalize_partition
+from .base import ProblemDefinition, bag_edge
 
 FORGET_ACTION = ("forget",)
 OFF, LONE, DONE = 0, -1, -2
@@ -33,33 +34,34 @@ class AvgPathProblem(ProblemDefinition):
         self.U = U
 
     def enumerate_states(self, nv):
-        state = [0] * nv
-
-        def patterns(i, open_ids, used):
-            if i == nv:
-                yield tuple(state)
-                return
-            for v in (OFF, LONE, DONE):
-                state[i] = v
-                yield from patterns(i + 1, open_ids, used)
-            for pid in sorted(open_ids):
-                state[i] = pid
-                yield from patterns(i + 1, open_ids - {pid}, used)
-            state[i] = used + 1
-            yield from patterns(i + 1, open_ids | {used + 1}, used + 1)
-
-        for s in patterns(0, frozenset(), 0):
+        for s in fragment_states(nv, (OFF, LONE, DONE), pair_only=False):
             ids = {v for v in s if v > 0}
             sel = sum(1 for v in s if v != OFF)
             frag_lb = len(ids) + sum(1 for v in s if v == LONE)
             if sel == 0:
                 yield s + (0, 0)
-                lo = 1
-            else:
-                lo = sel
-            for x in range(max(lo, 1), self.U + 1):
+            for x in range(max(sel, 1), self.U + 1):
                 for f in range(max(frag_lb, 1), x + 1):
                     yield s + (x, f)
+
+    def count_states(self, nv):
+        # a OFF, b LONE and c DONE slots; the q id slots hold p ids at
+        # both ends of a fragment and q - 2p at one end; each pattern
+        # takes the (x, f) tails enumerate_states gives it
+        total = 0
+        for a in range(nv + 1):
+            for b in range(nv - a + 1):
+                for c in range(nv - a - b + 1):
+                    q = nv - a - b - c
+                    slots = comb(nv, a) * comb(nv - a, b) * comb(nv - a - b, c)
+                    for p in range(q // 2 + 1):
+                        ids = factorial(q) // (2 ** p * factorial(p)
+                                               * factorial(q - 2 * p))
+                        f_lo = max(b + q - p, 1)
+                        tails = sum(x - f_lo + 1
+                                    for x in range(max(nv - a, 1), self.U + 1))
+                        total += slots * ids * (tails + (a == nv))
+        return total
 
     def empty_state(self):
         return (0, 0)
@@ -84,7 +86,7 @@ class AvgPathProblem(ProblemDefinition):
             return (s + (OFF, x, f), value, True)
         if x == self.U:
             return ((), 0, False)
-        w = ctx.vweight
+        w = self.graph.vertex_weight(ctx.vertex)
         if kind == "new":
             return (s + (LONE, x + 1, f + 1), value + w, True)
         if kind == "extend":
@@ -149,16 +151,11 @@ class AvgPathProblem(ProblemDefinition):
                 continue
             vertices.append(ctx.vertex)
             if kind == "extend":
-                edges.append(self._edge(ctx, action[1]))
+                edges.append(bag_edge(ctx, action[1]))
             elif kind == "connect":
-                edges.append(self._edge(ctx, action[1]))
-                edges.append(self._edge(ctx, action[2]))
+                edges.append(bag_edge(ctx, action[1]))
+                edges.append(bag_edge(ctx, action[2]))
         return sorted(vertices), sorted(edges)
-
-    @staticmethod
-    def _edge(ctx, j):
-        u, v = ctx.order_before[j], ctx.vertex
-        return (u, v) if u < v else (v, u)
 
     def check_certificate(self, cert):
         vertices, edges = cert

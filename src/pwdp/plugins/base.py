@@ -6,13 +6,17 @@ decomposition node, the expansion of a predecessor state under an
 action, normalization to canonical form, value comparison, final-state
 acceptance, and certificate extraction/checking.
 
-States are flat tuples of small integers.  Expansion returns a
-(new_state, new_value, ok) triple; ok False marks the action as
+States are flat tuples of small integers.  Every plugin counts its
+states in closed form (count_states), so the engine can check a bag's
+table size against its capacity without enumerating.  Expansion returns
+a (new_state, new_value, ok) triple; ok False marks the action as
 inapplicable to that predecessor, standing in for an infinite cost.
+Weights, penalties and costs come from the bound graph, never from the
+node context.
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable
 
 
 class ProblemDefinition:
@@ -28,19 +32,10 @@ class ProblemDefinition:
     def enumerate_states(self, nv: int) -> Iterable[tuple]:
         raise NotImplementedError
 
-    def count_states(self, nv: int, cap: Optional[int] = None) -> int:
-        """Number of canonical states for a bag of nv vertices.
-
-        The default counts by enumeration and stops at cap+1 so callers
-        can detect capacity overruns without a full sweep.  Plugins with
-        closed-form counts override this.
-        """
-        count = 0
-        for _ in self.enumerate_states(nv):
-            count += 1
-            if cap is not None and count > cap:
-                return count
-        return count
+    def count_states(self, nv: int) -> int:
+        """Number of canonical states for a bag of nv vertices, in closed
+        form: it must equal len(enumerate_states(nv)) without enumerating."""
+        raise NotImplementedError
 
     def empty_state(self) -> tuple:
         """State of the empty bag; the seed the first introduce expands."""
@@ -86,5 +81,8 @@ class ProblemDefinition:
         raise NotImplementedError
 
 
-def positions_of(seq: Sequence, value) -> List[int]:
-    return [i for i, x in enumerate(seq) if x == value]
+def bag_edge(ctx, j):
+    """The edge between bag position j and the introduced vertex, with
+    the smaller endpoint first."""
+    u, v = ctx.order_before[j], ctx.vertex
+    return (u, v) if u < v else (v, u)

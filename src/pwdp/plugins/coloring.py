@@ -30,7 +30,7 @@ class ColoringProblem(ProblemDefinition):
     def enumerate_states(self, nv):
         return itertools.product(range(1, self.C + 1), repeat=nv)
 
-    def count_states(self, nv, cap=None):
+    def count_states(self, nv):
         return self.C ** nv
 
     def initial_value(self):
@@ -83,7 +83,7 @@ class CanonicalColoringProblem(ColoringProblem):
     def enumerate_states(self, nv):
         return restricted_growth_strings(nv, max_classes=self.C)
 
-    def count_states(self, nv, cap=None):
+    def count_states(self, nv):
         return count_partitions(nv, self.C)
 
     def normalize(self, state):
@@ -131,8 +131,10 @@ class PenaltyColoringProblem(CanonicalColoringProblem):
         if action[0] == COLOR:
             cx = action[1]
             cost = value
-            for j, pen in zip(ctx.nbrs, ctx.epens):
+            for j in ctx.nbrs:
                 if state[j] == cx:
+                    pen = self.graph.edge_penalty(ctx.order_before[j],
+                                                  ctx.vertex)
                     cost = cost + pen if self.mode == "sum" else max(cost, pen)
             return (state + (cx,), cost, True)
         return (state[:ctx.pos] + state[ctx.pos + 1:], value, True)

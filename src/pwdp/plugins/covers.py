@@ -10,8 +10,8 @@ from __future__ import annotations
 from math import comb
 
 from ..decomposition import INTRODUCE
-from ..partition import normalize_partition
-from .base import ProblemDefinition
+from ..partition import fragment_states, normalize_partition
+from .base import ProblemDefinition, bag_edge
 
 FORGET_ACTION = ("forget",)
 
@@ -34,33 +34,6 @@ def _pairings(q):
     return out
 
 
-def _enum_fragment_states(nv, frozen_vals, pair_only):
-    """All canonical tuples over frozen values plus fragment ids.
-
-    Ids appear at most twice; with pair_only, states where an id ended
-    up unpaired are dropped (both endpoints of an open cycle must stay
-    in the bag).
-    """
-    state = [0] * nv
-
-    def rec(i, open_ids, closed_max):
-        if i == nv:
-            if not pair_only or not open_ids:
-                yield tuple(state)
-            return
-        for v in frozen_vals:
-            state[i] = v
-            yield from rec(i + 1, open_ids, closed_max)
-        for pid in sorted(open_ids):
-            state[i] = pid
-            yield from rec(i + 1, open_ids - {pid}, closed_max)
-        fresh = closed_max + 1
-        state[i] = fresh
-        yield from rec(i + 1, open_ids | {fresh}, fresh)
-
-    yield from rec(0, frozenset(), 0)
-
-
 class PathCoverProblem(ProblemDefinition):
     """Partition all vertices into the fewest vertex-disjoint paths."""
 
@@ -69,9 +42,9 @@ class PathCoverProblem(ProblemDefinition):
     frozen = frozenset((-1, 0))
 
     def enumerate_states(self, nv):
-        return _enum_fragment_states(nv, (-1, 0), pair_only=False)
+        return fragment_states(nv, (-1, 0), pair_only=False)
 
-    def count_states(self, nv, cap=None):
+    def count_states(self, nv):
         return sum(comb(nv, q) * 2 ** (nv - q) * _involutions(q)
                    for q in range(nv + 1))
 
@@ -155,16 +128,11 @@ class PathCoverProblem(ProblemDefinition):
                 continue
             kind = action[0]
             if kind == "extend":
-                edges.append(self._edge(ctx, action[1]))
+                edges.append(bag_edge(ctx, action[1]))
             elif kind in ("connect", "close"):
-                edges.append(self._edge(ctx, action[1]))
-                edges.append(self._edge(ctx, action[2]))
+                edges.append(bag_edge(ctx, action[1]))
+                edges.append(bag_edge(ctx, action[2]))
         return sorted(edges)
-
-    @staticmethod
-    def _edge(ctx, j):
-        u, v = ctx.order_before[j], ctx.vertex
-        return (u, v) if u < v else (v, u)
 
     def _components(self, edges):
         """(vertex count per component, degree map) or None on bad edges."""
@@ -228,9 +196,9 @@ class CycleCoverProblem(PathCoverProblem):
     connect_delta = 0
 
     def enumerate_states(self, nv):
-        return _enum_fragment_states(nv, (-1, 0), pair_only=True)
+        return fragment_states(nv, (-1, 0), pair_only=True)
 
-    def count_states(self, nv, cap=None):
+    def count_states(self, nv):
         return sum(comb(nv, q) * 2 ** (nv - q) * _pairings(q)
                    for q in range(nv + 1))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from ..decomposition import INTRODUCE
-from .base import ProblemDefinition
+from .base import ProblemDefinition, bag_edge
 
 FORGET_ACTION = ("forget",)
 FREE, MATCHED, OBLIGATED = 0, 1, 2
@@ -25,7 +25,7 @@ class MinMaximalMatchingProblem(ProblemDefinition):
     def enumerate_states(self, nv):
         return itertools.product((FREE, MATCHED, OBLIGATED), repeat=nv)
 
-    def count_states(self, nv, cap=None):
+    def count_states(self, nv):
         return 3 ** nv
 
     def set_of_actions(self, ctx):
@@ -41,7 +41,7 @@ class MinMaximalMatchingProblem(ProblemDefinition):
             j = action[1]
             if state[j] == MATCHED:
                 return ((), 0, False)
-            w = ctx.eweights[ctx.nbrs.index(j)]
+            w = self.graph.edge_weight(ctx.order_before[j], ctx.vertex)
             s2 = state[:j] + (MATCHED,) + state[j + 1:] + (MATCHED,)
             return (s2, value + w, True)
         s = state[ctx.pos]
@@ -59,8 +59,7 @@ class MinMaximalMatchingProblem(ProblemDefinition):
         edges = []
         for ctx, _prev, action, _state in chain:
             if ctx.kind == INTRODUCE and action[0] == "add":
-                u, v = ctx.order_before[action[1]], ctx.vertex
-                edges.append((u, v) if u < v else (v, u))
+                edges.append(bag_edge(ctx, action[1]))
         return sorted(edges)
 
     def check_certificate(self, edges):

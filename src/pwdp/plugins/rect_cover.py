@@ -45,7 +45,7 @@ class RectCoverProblem(ProblemDefinition):
     def enumerate_states(self, nv):
         return itertools.product(range(self.R + 1), repeat=nv)
 
-    def count_states(self, nv, cap=None):
+    def count_states(self, nv):
         return (self.R + 1) ** nv
 
     def set_of_actions(self, ctx):

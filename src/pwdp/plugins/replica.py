@@ -34,7 +34,7 @@ class KReplicaProblem(ProblemDefinition):
             for x in range(self.k + 1):
                 yield bits + (x,)
 
-    def count_states(self, nv, cap=None):
+    def count_states(self, nv):
         return 2 ** nv * (self.k + 1)
 
     def empty_state(self):
@@ -53,10 +53,11 @@ class KReplicaProblem(ProblemDefinition):
             return (state[:-1] + (0, x), value, True)
         if x == self.k:
             return ((), 0, False)
-        cost = value + ctx.vcost
-        for j, pen in zip(ctx.nbrs, ctx.epens):
+        g = self.graph
+        cost = value + g.selection_cost(ctx.vertex)
+        for j in ctx.nbrs:
             if state[j] == 1:
-                cost += pen
+                cost += g.edge_penalty(ctx.order_before[j], ctx.vertex)
         return (state[:-1] + (1, x + 1), cost, True)
 
     def is_valid_final(self, state):
@@ -91,7 +92,7 @@ class MwisProblem(ProblemDefinition):
     def enumerate_states(self, nv):
         return itertools.product((0, 1), repeat=nv)
 
-    def count_states(self, nv, cap=None):
+    def count_states(self, nv):
         return 2 ** nv
 
     def set_of_actions(self, ctx):
@@ -107,7 +108,8 @@ class MwisProblem(ProblemDefinition):
         for j in ctx.nbrs:
             if state[j] == 1:
                 return ((), 0, False)
-        return (state + (1,), value + ctx.vweight, True)
+        return (state + (1,), value + self.graph.vertex_weight(ctx.vertex),
+                True)
 
     def extract_certificate(self, chain):
         return sorted(ctx.vertex for ctx, _p, action, _s in chain

@@ -8,11 +8,12 @@ it back the moment its degree reaches 2.
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 from ..decomposition import INTRODUCE
 from ..errors import NotApplicableError
 from ..partition import normalize_partition, restricted_growth_strings
-from .base import ProblemDefinition
+from .base import ProblemDefinition, bag_edge
 
 FORGET_ACTION = ("forget",)
 
@@ -42,6 +43,15 @@ class MaxLeafTreeProblem(ProblemDefinition):
                     out.append(d)
                 yield tuple(out)
 
+    def count_states(self, nv):
+        # exponential formula over the class of the last vertex: a class
+        # of one has 3 degree choices, a class of k > 1 has 2 ** k
+        a = [1]
+        for n in range(1, nv + 1):
+            a.append(sum(comb(n - 1, k - 1) * (3 if k == 1 else 2 ** k)
+                         * a[n - k] for k in range(1, n + 1)))
+        return a[nv]
+
     def set_of_actions(self, ctx):
         if ctx.kind != INTRODUCE:
             return [FORGET_ACTION]
@@ -69,11 +79,13 @@ class MaxLeafTreeProblem(ProblemDefinition):
         if kind == "new":
             cids = state[0::2]
             newcid = max(cids) + 1 if cids else 1
-            return (state + (newcid, 0), value + ctx.vweight, True)
+            return (state + (newcid, 0),
+                    value + self.graph.vertex_weight(ctx.vertex), True)
         if kind == "leaf":
             j = action[1]
             cid, deg = state[2 * j], state[2 * j + 1]
-            gain = ctx.vweight - (self._w(ctx, j) if deg == 1 else 0)
+            gain = (self.graph.vertex_weight(ctx.vertex)
+                    - (self._w(ctx, j) if deg == 1 else 0))
             s2 = list(state)
             s2[2 * j + 1] = min(2, deg + 1)
             s2 += [cid, 1]
@@ -113,15 +125,10 @@ class MaxLeafTreeProblem(ProblemDefinition):
             if ctx.kind != INTRODUCE:
                 continue
             if action[0] == "leaf":
-                edges.append(self._edge(ctx, action[1]))
+                edges.append(bag_edge(ctx, action[1]))
             elif action[0] == "join":
-                edges.extend(self._edge(ctx, j) for j in action[1])
+                edges.extend(bag_edge(ctx, j) for j in action[1])
         return sorted(edges)
-
-    @staticmethod
-    def _edge(ctx, j):
-        u, v = ctx.order_before[j], ctx.vertex
-        return (u, v) if u < v else (v, u)
 
     def check_certificate(self, edges):
         g = self.graph

@@ -103,13 +103,38 @@ class TestRunDp:
         assert res.stats[-1].filled >= 1
         assert all(s.filled <= s.allowed for s in res.stats)
 
-    def test_capacity_error(self):
+    def test_capacity_error(self, monkeypatch):
         g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
                       (1, 3), (2, 4), (3, 5), (4, 6), (1, 4)])
         npd, _ = exact_pathwidth_decomposition(g)
-        plugin = make_plugin("coloring", g, C=10)
-        with pytest.raises(CapacityError):
-            run_dp(plugin, g, npd, capacity=100)
+        k9 = Graph(9, [(u, v) for u in range(1, 10) for v in range(u + 1, 10)])
+        one_bag = nice(*[(INTRODUCE, v) for v in range(1, 10)],
+                       *[(FORGET, v) for v in range(1, 10)])
+        cases = [
+            (g, npd, "coloring", {"C": 10}, 100),
+            (k9, one_bag, "max-leaf-tree", {}, 10 ** 6),           # 25.7M
+            (k9, one_bag, "avg-path", {"L": 1, "U": 9}, 10 ** 6),  # 16.5M
+        ]
+
+        def untouched(*args):
+            raise AssertionError("capacity must be checked first")
+
+        for graph, decomp, name, params, capacity in cases:
+            plugin = make_plugin(name, graph, **params)
+            # closed-form counts, checked before the first node runs
+            monkeypatch.setattr(plugin, "enumerate_states", untouched)
+            monkeypatch.setattr(plugin, "set_of_actions", untouched)
+            with pytest.raises(CapacityError):
+                run_dp(plugin, graph, decomp, capacity=capacity)
+
+    def test_rejects_plugin_bound_to_another_graph(self):
+        # the plugin reads weights from its own graph, so an unweighted
+        # copy would score the run differently from the certificate
+        g = path_graph(3)
+        weighted = Graph(3, g.edges, vertex_weights={1: 5, 3: 5})
+        npd, _ = exact_pathwidth_decomposition(g)
+        with pytest.raises(NotApplicableError):
+            run_dp(make_plugin("mwis", g), weighted, npd)
 
     def test_deterministic_across_runs(self):
         grid = full_grid(3, 3)
@@ -225,23 +250,10 @@ class TestValidateMode:
             run_dp(plugin, g, npd, validate=True, allowed=noncrossing)
 
 
-class TinyCount(ProblemDefinition):
-    name = "tiny"
+class RepeatingEnumeration(ProblemDefinition):
+    name = "repeating"
     direction = "min"
 
     def enumerate_states(self, nv):
         yield (0,) * nv
-
-
-class RepeatingEnumeration(TinyCount):
-    def enumerate_states(self, nv):
         yield (0,) * nv
-        yield (0,) * nv
-
-
-def test_default_count_states_cap_abort():
-    g = Graph(1, [])
-    assert TinyCount(g).count_states(4) == 1
-    # default counting stops right past the cap instead of sweeping all
-    big = make_plugin("avg-path", path_graph(6), L=1, U=6)
-    assert big.count_states(6, cap=10) == 11

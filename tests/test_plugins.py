@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from pwdp.decomposition import exact_pathwidth_decomposition, grid_sweep_decomposition
-from pwdp.engine import reconstruct_solution, run_dp
+from pwdp.engine import generate_states, reconstruct_solution, run_dp
 from pwdp.errors import NotApplicableError
 from pwdp.graph import Graph, PartialGrid, grid_to_graph
 from pwdp.plugins import PLUGIN_NAMES, make_plugin
@@ -293,3 +293,45 @@ class TestRectCover:
         plugin = make_plugin("rect-cover", g, grid=grid, pieces=[(1, 3)])
         with pytest.raises(NotApplicableError):
             run_dp(plugin, g, npd)
+
+
+COUNT_CASES = [
+    ("coloring", {"C": 1}), ("coloring", {"C": 3}),
+    ("coloring-canonical", {"C": 1}), ("coloring-canonical", {"C": 3}),
+    ("penalty-coloring", {"C": 1}), ("penalty-coloring", {"C": 3}),
+    ("path-cover", {}), ("cycle-cover", {}),
+    ("k-replica", {"k": 1}), ("k-replica", {"k": 4}),
+    ("max-leaf-tree", {}), ("min-maximal-matching", {}), ("mwis", {}),
+    ("avg-path", {"L": 1, "U": 1}), ("avg-path", {"L": 1, "U": 5}),
+    ("avg-path", {"L": 1, "U": 8}),
+    ("rect-cover", {"pieces": [(2, 1), (1, 2)]}),
+]
+
+
+def count_plugin(name, params):
+    if name == "rect-cover":
+        grid = full_grid(3, 3)
+        return make_plugin(name, grid_to_graph(grid), grid=grid, **params)
+    return make_plugin(name, path_graph(8), **params)
+
+
+def test_count_cases_cover_every_plugin():
+    assert {name for name, _ in COUNT_CASES} == set(PLUGIN_NAMES)
+
+
+@pytest.mark.parametrize("name, params", COUNT_CASES,
+                         ids=[f"{n}-{p}" for n, p in COUNT_CASES])
+def test_closed_form_count_matches_enumeration(name, params):
+    plugin = count_plugin(name, params)
+    for nv in range(7):
+        assert plugin.count_states(nv) == len(generate_states(plugin, nv))
+
+
+@pytest.mark.parametrize("name, params, states", [
+    ("max-leaf-tree", {}, 25_741_939),
+    ("avg-path", {"L": 1, "U": 12}, 46_267_926),
+    ("avg-path", {"L": 1, "U": 5}, 338_407),
+])
+def test_bag9_count_matches_enumerated_value(name, params, states):
+    # from a full enumeration, which takes 20-35 s for these bags
+    assert make_plugin(name, path_graph(12), **params).count_states(9) == states
