@@ -158,15 +158,11 @@ def _resolve_decomp(args, graph, grid):
     return nicify(pd, graph)
 
 
-def _print_objective(result, plugin):
-    if plugin.name == "avg-path":
-        total, count = result.value, result.final_state[-2]
-        print(f"objective {total}/{count} (~{total / count:.6f})")
-    elif isinstance(result.objective, Fraction):
-        obj = result.objective
+def _print_objective(obj):
+    if isinstance(obj, Fraction):
         print(f"objective {obj.numerator}/{obj.denominator} (~{float(obj):.6f})")
     else:
-        print(f"objective {result.objective}")
+        print(f"objective {obj}")
 
 
 def _cmd_solve(args):
@@ -183,7 +179,7 @@ def _cmd_solve(args):
     elapsed = time.perf_counter() - start
 
     if result.feasible:
-        _print_objective(result, plugin)
+        _print_objective(result.objective)
         if args.reconstruct:
             cert = reconstruct_solution(result)
             print("certificate")
@@ -217,12 +213,7 @@ def _cmd_oracle(args):
     if not res.feasible:
         print("infeasible")
         return EXIT_INFEASIBLE
-    if isinstance(res.objective, Fraction):
-        obj = res.objective
-        print(f"objective {obj.numerator}/{obj.denominator} "
-              f"(~{float(obj):.6f})")
-    else:
-        print(f"objective {res.objective}")
+    _print_objective(res.objective)
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ from .errors import (
     PluginInconsistencyError, ReconstructionUnavailableError,
 )
 from .graph import Graph
+from .partition import crosses
 
 
 @dataclass(frozen=True)
@@ -81,26 +82,6 @@ def generate_states(plugin, nv: int) -> frozenset:
                 f"enumeration for bag size {nv} repeats a state")
         cache[nv] = unique
     return cache[nv]
-
-
-def _open_pairs(state):
-    """Bag positions (1-based) of ids occurring exactly twice, as (a, b)."""
-    occ = {}
-    for pos, s in enumerate(state, start=1):
-        if s > 0:
-            occ.setdefault(s, []).append(pos)
-    return [tuple(ps) for ps in occ.values() if len(ps) == 2]
-
-
-def crosses(state) -> bool:
-    pairs = _open_pairs(state)
-    for i in range(len(pairs)):
-        a, b = pairs[i]
-        for j in range(i + 1, len(pairs)):
-            c, d = pairs[j]
-            if not (b < c or d < a or (a < c and d < b) or (c < a and b < d)):
-                return True
-    return False
 
 
 def catalan_prune(states: frozenset, plugin, npd) -> frozenset:

@@ -1,9 +1,15 @@
-"""Canonical set-partition labels (restricted growth strings).
+"""Canonical set-partition labels (restricted growth strings) and
+path-fragment labels.
 
 A sequence of class labels is canonical when, ignoring frozen sentinel
 values, each new label is exactly one larger than the largest label seen
 so far, starting at 1.  Two label sequences describe the same partition
 iff they normalize to the same canonical sequence.
+
+Path-fragment labels give each bag vertex on a path a value: a lone
+sentinel for a one-vertex fragment, a settled sentinel once both of its
+path edges are chosen, or a positive id shared by the two endpoints of a
+longer fragment.  Sentinels are at most 0; the caller picks them.
 """
 from __future__ import annotations
 
@@ -85,6 +91,71 @@ def fragment_states(nv, frozen_vals, pair_only):
         yield from rec(i + 1, open_ids | {fresh}, fresh)
 
     yield from rec(0, frozenset(), 0)
+
+
+def extend_fragment(labels, j, lone, settled):
+    """Labels after a new vertex joins the fragment end at position j,
+    with the new vertex appended; None when j is not an endpoint."""
+    lj = labels[j]
+    if lj > 0:
+        return labels[:j] + (settled,) + labels[j + 1:] + (lj,)
+    if lj != lone:
+        return None
+    pid = max(0, *labels) + 1
+    return labels[:j] + (pid,) + labels[j + 1:] + (pid,)
+
+
+def join_fragments(labels, j, k, lone, settled):
+    """Labels after a new vertex links the fragment ends at positions j
+    and k, with the new vertex appended settled; None when either is not
+    an endpoint or both end the same fragment (that would close a cycle).
+    """
+    lj, lk = labels[j], labels[k]
+    if (lj <= 0 and lj != lone) or (lk <= 0 and lk != lone):
+        return None
+    out = list(labels)
+    if lj == lone and lk == lone:
+        pid = max(0, *labels) + 1
+        out[j] = pid
+        out[k] = pid
+    elif lj == lone:
+        out[j] = lk
+        out[k] = settled
+    elif lk == lone:
+        out[k] = lj
+        out[j] = settled
+    else:
+        if lj == lk:
+            return None
+        partner = next((t for t, x in enumerate(labels)
+                        if x == lk and t != k), None)
+        if partner is not None:
+            out[partner] = lj
+        out[j] = settled
+        out[k] = settled
+    out.append(settled)
+    return tuple(out)
+
+
+def _open_pairs(labels):
+    """Bag positions (1-based) of ids occurring exactly twice, as (a, b)."""
+    occ = {}
+    for pos, s in enumerate(labels, start=1):
+        if s > 0:
+            occ.setdefault(s, []).append(pos)
+    return [tuple(ps) for ps in occ.values() if len(ps) == 2]
+
+
+def crosses(labels) -> bool:
+    """Whether two fragments' endpoint pairs interleave in bag order."""
+    pairs = _open_pairs(labels)
+    for i in range(len(pairs)):
+        a, b = pairs[i]
+        for j in range(i + 1, len(pairs)):
+            c, d = pairs[j]
+            if not (b < c or d < a or (a < c and d < b) or (c < a and b < d)):
+                return True
+    return False
 
 
 def count_partitions(n: int, max_classes: int = None) -> int:

@@ -1,23 +1,25 @@
 """Maximum average-weight simple path with length bounds L..U.
 
-Vertices on the path are tracked like open path-cover fragments: -1 for
-a one-vertex fragment, -2 once both path edges are fixed, a shared id
-for the two endpoints of a longer fragment, and 0 for vertices off the
-path.  Extras count selected vertices (x) and open fragments (f); a run
-is accepted when exactly one fragment of admissible length survives.
-Table values hold the weight sum; the final ranking divides by x as an
-exact rational.
+Vertices on the path carry the path-fragment labels of pwdp.partition:
+LONE (-1) for a one-vertex fragment, DONE (-2) once both path edges are
+fixed, a shared id for the two endpoints of a longer fragment, and OFF
+(0) for vertices off the path.  Extras count selected vertices (x) and
+open fragments (f); a run is accepted when exactly one fragment of
+admissible length survives.  Table values hold the weight sum; the
+final ranking divides by x as an exact rational.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 from ..decomposition import INTRODUCE
-from ..partition import fragment_states, normalize_partition
-from .base import ProblemDefinition, bag_edge
+from ..partition import (
+    extend_fragment, fragment_states, join_fragments, normalize_partition,
+)
+from .base import FORGET_ACTION, ProblemDefinition, chain_edges
 
-FORGET_ACTION = ("forget",)
 OFF, LONE, DONE = 0, -1, -2
 
 
@@ -71,16 +73,13 @@ class AvgPathProblem(ProblemDefinition):
             return [FORGET_ACTION]
         acts = [("skip",), ("new",)]
         acts += [("extend", j) for j in ctx.nbrs]
-        acts += [("connect", ctx.nbrs[a], ctx.nbrs[b])
-                 for a in range(len(ctx.nbrs))
-                 for b in range(a + 1, len(ctx.nbrs))]
+        acts += [("connect", j, k) for j, k in combinations(ctx.nbrs, 2)]
         return acts
 
     def expand_state(self, state, ctx, action, value):
         kind = action[0]
         if kind == "forget":
-            return (state[:ctx.pos] + state[ctx.pos + 1:-2] + state[-2:],
-                    value, True)
+            return (state[:ctx.pos] + state[ctx.pos + 1:], value, True)
         s, x, f = state[:-2], state[-2], state[-1]
         if kind == "skip":
             return (s + (OFF, x, f), value, True)
@@ -90,45 +89,14 @@ class AvgPathProblem(ProblemDefinition):
         if kind == "new":
             return (s + (LONE, x + 1, f + 1), value + w, True)
         if kind == "extend":
-            j = action[1]
-            sj = s[j]
-            if sj in (OFF, DONE):
+            s2 = extend_fragment(s, action[1], LONE, DONE)
+            if s2 is None:
                 return ((), 0, False)
-            s2 = list(s)
-            if sj > 0:
-                s2[j] = DONE
-                s2.append(sj)
-            else:
-                pid = max((v for v in s if v > 0), default=0) + 1
-                s2[j] = pid
-                s2.append(pid)
-            return (tuple(s2) + (x + 1, f), value + w, True)
-        j, k = action[1], action[2]
-        sj, sk = s[j], s[k]
-        if sj in (OFF, DONE) or sk in (OFF, DONE):
+            return (s2 + (x + 1, f), value + w, True)
+        s2 = join_fragments(s, action[1], action[2], LONE, DONE)
+        if s2 is None:
             return ((), 0, False)
-        s2 = list(s)
-        if sj == LONE and sk == LONE:
-            pid = max((v for v in s if v > 0), default=0) + 1
-            s2[j] = pid
-            s2[k] = pid
-        elif sj == LONE:
-            s2[j] = sk
-            s2[k] = DONE
-        elif sk == LONE:
-            s2[k] = sj
-            s2[j] = DONE
-        else:
-            if sj == sk:
-                return ((), 0, False)  # both ends of the same fragment
-            partner = next((t for t, v in enumerate(s)
-                            if v == sk and t != k), None)
-            if partner is not None:
-                s2[partner] = sj
-            s2[j] = DONE
-            s2[k] = DONE
-        s2.append(DONE)
-        return (tuple(s2) + (x + 1, f - 1), value + w, True)
+        return (s2 + (x + 1, f - 1), value + w, True)
 
     def normalize(self, state):
         return normalize_partition(state[:-2], self.frozen) + state[-2:]
@@ -141,21 +109,9 @@ class AvgPathProblem(ProblemDefinition):
         return Fraction(value, state[-2])
 
     def extract_certificate(self, chain):
-        vertices = []
-        edges = []
-        for ctx, _prev, action, _state in chain:
-            if ctx.kind != INTRODUCE:
-                continue
-            kind = action[0]
-            if kind == "skip":
-                continue
-            vertices.append(ctx.vertex)
-            if kind == "extend":
-                edges.append(bag_edge(ctx, action[1]))
-            elif kind == "connect":
-                edges.append(bag_edge(ctx, action[1]))
-                edges.append(bag_edge(ctx, action[2]))
-        return sorted(vertices), sorted(edges)
+        vertices = sorted(ctx.vertex for ctx, _prev, action, _state in chain
+                          if ctx.kind == INTRODUCE and action[0] != "skip")
+        return vertices, chain_edges(chain)
 
     def check_certificate(self, cert):
         vertices, edges = cert

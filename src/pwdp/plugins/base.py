@@ -13,10 +13,23 @@ a (new_state, new_value, ok) triple; ok False marks the action as
 inapplicable to that predecessor, standing in for an infinite cost.
 Weights, penalties and costs come from the bound graph, never from the
 node context.
+
+Plugins share one action vocabulary: every forget node offers the single
+FORGET_ACTION, and an introduce action that picks graph edges lists the
+bag positions of their far ends right after its kind, as in
+("connect", j, k).  For plugins whose introduce actions list nothing
+else, chain_edges reads a certificate's edges off the reconstruction
+chain.  One plugin instance may run on several decompositions, so what
+it derives from a node travels in that node's actions, never in a cache
+keyed by node index.
 """
 from __future__ import annotations
 
 from typing import Iterable
+
+from ..decomposition import INTRODUCE
+
+FORGET_ACTION = ("forget",)
 
 
 class ProblemDefinition:
@@ -81,8 +94,15 @@ class ProblemDefinition:
         raise NotImplementedError
 
 
-def bag_edge(ctx, j):
-    """The edge between bag position j and the introduced vertex, with
-    the smaller endpoint first."""
-    u, v = ctx.order_before[j], ctx.vertex
-    return (u, v) if u < v else (v, u)
+def chain_edges(chain):
+    """Sorted edges chosen along a reconstruction chain: each bag position
+    an introduce action lists after its kind, joined to the new vertex,
+    with the smaller endpoint first."""
+    edges = []
+    for ctx, _prev, action, _state in chain:
+        if ctx.kind == INTRODUCE:
+            v = ctx.vertex
+            for j in action[1:]:
+                u = ctx.order_before[j]
+                edges.append((u, v) if u < v else (v, u))
+    return sorted(edges)

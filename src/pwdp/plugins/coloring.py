@@ -5,10 +5,9 @@ import itertools
 
 from ..decomposition import INTRODUCE
 from ..partition import count_partitions, normalize_partition, restricted_growth_strings
-from .base import ProblemDefinition
+from .base import FORGET_ACTION, ProblemDefinition
 
 COLOR = "color"
-FORGET_ACTION = ("forget",)
 
 
 class ColoringProblem(ProblemDefinition):

@@ -1,19 +1,23 @@
 """Minimum path cover and minimum cycle cover.
 
-Both track open fragments through the bag: a vertex is isolated (-1),
-settled with both its edges chosen (0), or an endpoint carrying a
-fragment id shared with the other endpoint.  Ids are kept canonical by
+Both track open fragments through the bag with the path-fragment labels
+of pwdp.partition: a vertex is isolated (LONE, -1), settled with both
+its edges chosen (SETTLED, 0), or an endpoint carrying a fragment id
+shared with the other endpoint.  Ids are kept canonical by
 first-occurrence relabeling, with -1 and 0 frozen.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 from ..decomposition import INTRODUCE
-from ..partition import fragment_states, normalize_partition
-from .base import ProblemDefinition, bag_edge
+from ..partition import (
+    extend_fragment, fragment_states, join_fragments, normalize_partition,
+)
+from .base import FORGET_ACTION, ProblemDefinition, chain_edges
 
-FORGET_ACTION = ("forget",)
+LONE, SETTLED = -1, 0
 
 
 def _involutions(q):
@@ -39,10 +43,10 @@ class PathCoverProblem(ProblemDefinition):
 
     name = "path-cover"
     direction = "min"
-    frozen = frozenset((-1, 0))
+    frozen = frozenset((LONE, SETTLED))
 
     def enumerate_states(self, nv):
-        return fragment_states(nv, (-1, 0), pair_only=False)
+        return fragment_states(nv, (LONE, SETTLED), pair_only=False)
 
     def count_states(self, nv):
         return sum(comb(nv, q) * 2 ** (nv - q) * _involutions(q)
@@ -53,86 +57,32 @@ class PathCoverProblem(ProblemDefinition):
             return [FORGET_ACTION]
         acts = [("new",)]
         acts += [("extend", j) for j in ctx.nbrs]
-        acts += [("connect", ctx.nbrs[a], ctx.nbrs[b])
-                 for a in range(len(ctx.nbrs))
-                 for b in range(a + 1, len(ctx.nbrs))]
+        acts += [("connect", j, k) for j, k in combinations(ctx.nbrs, 2)]
         return acts
 
     # value deltas; the cycle subclass overrides these
     new_delta = 1
     connect_delta = -1
-    done = 0   # marker for a vertex with both edges chosen
 
     def expand_state(self, state, ctx, action, value):
         kind = action[0]
         if kind == "forget":
-            return self._forget(state, ctx, value)
+            return (state[:ctx.pos] + state[ctx.pos + 1:], value, True)
         if kind == "new":
-            return (state + (-1,), value + self.new_delta, True)
+            return (state + (LONE,), value + self.new_delta, True)
         if kind == "extend":
-            j = action[1]
-            sj = state[j]
-            if sj == 0 or sj == self.done:
-                return ((), 0, False)
-            if sj > 0:
-                s2 = state[:j] + (self.done,) + state[j + 1:] + (sj,)
-                return (s2, value, True)
-            pid = max(0, *state) + 1 if state else 1
-            s2 = state[:j] + (pid,) + state[j + 1:] + (pid,)
-            return (s2, value, True)
-        if kind == "connect":
-            return self._connect(state, action[1], action[2], value)
-        return self._close(state, action[1], action[2], value)
-
-    def _forget(self, state, ctx, value):
-        return (state[:ctx.pos] + state[ctx.pos + 1:], value, True)
-
-    def _connect(self, state, j, k, value):
-        sj, sk = state[j], state[k]
-        for s in (sj, sk):
-            if s == 0 or s == self.done:
-                return ((), 0, False)
-        s2 = list(state)
-        if sj == -1 and sk == -1:
-            pid = max(0, *state) + 1
-            s2[j] = pid
-            s2[k] = pid
-        elif sj == -1:
-            s2[j] = sk
-            s2[k] = self.done
-        elif sk == -1:
-            s2[k] = sj
-            s2[j] = self.done
-        else:
-            if sj == sk:
-                return ((), 0, False)  # would close a cycle
-            partner = next((t for t, s in enumerate(state)
-                            if s == sk and t != k), None)
-            if partner is not None:
-                s2[partner] = sj
-            s2[j] = self.done
-            s2[k] = self.done
-        s2.append(self.done)
-        return (tuple(s2), value + self.connect_delta, True)
-
-    def _close(self, state, j, k, value):
-        return ((), 0, False)
+            s2 = extend_fragment(state, action[1], LONE, SETTLED)
+            return ((), 0, False) if s2 is None else (s2, value, True)
+        s2 = join_fragments(state, action[1], action[2], LONE, SETTLED)
+        if s2 is None:
+            return ((), 0, False)
+        return (s2, value + self.connect_delta, True)
 
     def normalize(self, state):
         return normalize_partition(state, self.frozen)
 
     def extract_certificate(self, chain):
-        edges = []
-        for ctx, _prev, action, _state in chain:
-            if ctx.kind != INTRODUCE:
-                continue
-            kind = action[0]
-            if kind == "extend":
-                edges.append(bag_edge(ctx, action[1]))
-            elif kind in ("connect", "close"):
-                edges.append(bag_edge(ctx, action[1]))
-                edges.append(bag_edge(ctx, action[2]))
-        return sorted(edges)
+        return chain_edges(chain)
 
     def _components(self, edges):
         """(vertex count per component, degree map) or None on bad edges."""
@@ -196,7 +146,7 @@ class CycleCoverProblem(PathCoverProblem):
     connect_delta = 0
 
     def enumerate_states(self, nv):
-        return fragment_states(nv, (-1, 0), pair_only=True)
+        return fragment_states(nv, (LONE, SETTLED), pair_only=True)
 
     def count_states(self, nv):
         return sum(comb(nv, q) * 2 ** (nv - q) * _pairings(q)
@@ -205,23 +155,22 @@ class CycleCoverProblem(PathCoverProblem):
     def set_of_actions(self, ctx):
         acts = super().set_of_actions(ctx)
         if ctx.kind == INTRODUCE:
-            acts += [("close", ctx.nbrs[a], ctx.nbrs[b])
-                     for a in range(len(ctx.nbrs))
-                     for b in range(a + 1, len(ctx.nbrs))]
+            acts += [("close", j, k) for j, k in combinations(ctx.nbrs, 2)]
         return acts
 
-    def _close(self, state, j, k, value):
-        sj, sk = state[j], state[k]
-        if sj <= 0 or sj != sk:
+    def expand_state(self, state, ctx, action, value):
+        kind = action[0]
+        if kind == "close":
+            j, k = action[1], action[2]
+            sj = state[j]
+            if sj <= 0 or sj != state[k]:
+                return ((), 0, False)
+            s2 = state[:j] + (SETTLED,) + state[j + 1:]
+            s2 = s2[:k] + (SETTLED,) + s2[k + 1:] + (SETTLED,)
+            return (s2, value + 1, True)
+        if kind == "forget" and state[ctx.pos] != SETTLED:
             return ((), 0, False)
-        s2 = state[:j] + (0,) + state[j + 1:]
-        s2 = s2[:k] + (0,) + s2[k + 1:] + (0,)
-        return (s2, value + 1, True)
-
-    def _forget(self, state, ctx, value):
-        if state[ctx.pos] != 0:
-            return ((), 0, False)
-        return (state[:ctx.pos] + state[ctx.pos + 1:], value, True)
+        return super().expand_state(state, ctx, action, value)
 
     def check_certificate(self, edges):
         r = self._components(edges)

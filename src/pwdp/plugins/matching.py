@@ -12,9 +12,8 @@ from __future__ import annotations
 import itertools
 
 from ..decomposition import INTRODUCE
-from .base import ProblemDefinition, bag_edge
+from .base import FORGET_ACTION, ProblemDefinition, chain_edges
 
-FORGET_ACTION = ("forget",)
 FREE, MATCHED, OBLIGATED = 0, 1, 2
 
 
@@ -56,11 +55,7 @@ class MinMaximalMatchingProblem(ProblemDefinition):
         return (tuple(s2), value, True)
 
     def extract_certificate(self, chain):
-        edges = []
-        for ctx, _prev, action, _state in chain:
-            if ctx.kind == INTRODUCE and action[0] == "add":
-                edges.append(bag_edge(ctx, action[1]))
-        return sorted(edges)
+        return chain_edges(chain)
 
     def check_certificate(self, edges):
         g = self.graph

@@ -17,9 +17,7 @@ import itertools
 
 from ..decomposition import INTRODUCE
 from ..errors import NotApplicableError
-from .base import ProblemDefinition
-
-FORGET_ACTION = ("forget",)
+from .base import FORGET_ACTION, ProblemDefinition
 
 
 class RectCoverProblem(ProblemDefinition):
@@ -40,7 +38,6 @@ class RectCoverProblem(ProblemDefinition):
         self.grid = grid
         self.pieces = list(pieces)
         self.R = max(r for r, _ in pieces)
-        self._prep = {}
 
     def enumerate_states(self, nv):
         return itertools.product(range(self.R + 1), repeat=nv)
@@ -49,16 +46,12 @@ class RectCoverProblem(ProblemDefinition):
         return (self.R + 1) ** nv
 
     def set_of_actions(self, ctx):
+        """skip, then one place per piece type t that fits at the new
+        cell; each action ends with the bag position of the cell above
+        (None on the top edge), and place carries the positions of the
+        cells left of the anchor before it."""
         if ctx.kind != INTRODUCE:
             return [FORGET_ACTION]
-        prep = self._prep.get(ctx.index)
-        if prep is None:
-            prep = self._prepare(ctx)
-            self._prep[ctx.index] = prep
-        _above, opts = prep
-        return [("skip",)] + [("place", t) for t in sorted(opts)]
-
-    def _prepare(self, ctx):
         coords = self.graph.coords
         a, b = coords[ctx.vertex]
         pos_of = {coords[u]: i for i, u in enumerate(ctx.order_before)}
@@ -69,7 +62,7 @@ class RectCoverProblem(ProblemDefinition):
                 raise NotApplicableError(
                     "cell above the introduced cell is not in the bag; "
                     "use the widened row-major sweep")
-        opts = {}
+        acts = [("skip", above_pos)]
         for t, (r_p, c_p) in enumerate(self.pieces, start=1):
             if c_p > b + 1:
                 continue  # would stick out past the left edge
@@ -86,13 +79,13 @@ class RectCoverProblem(ProblemDefinition):
                         "use the widened row-major sweep")
                 positions.append(p)
             if ok:
-                opts[t] = tuple(positions)
-        return above_pos, opts
+                acts.append(("place", t, tuple(positions), above_pos))
+        return acts
 
     def expand_state(self, state, ctx, action, value):
         if action[0] == "forget":
             return (state[:ctx.pos] + state[ctx.pos + 1:], value, True)
-        above_pos, opts = self._prep[ctx.index]
+        above_pos = action[-1]
         h_above = state[above_pos] if above_pos is not None else 0
         h_v = min(self.R, h_above + 1)
         if action[0] == "skip":
@@ -101,7 +94,7 @@ class RectCoverProblem(ProblemDefinition):
         r_p = self.pieces[t - 1][0]
         if h_v < r_p:
             return ((), 0, False)
-        positions = opts[t]
+        positions = action[2]
         for p in positions:
             if state[p] < r_p:
                 return ((), 0, False)

@@ -5,9 +5,8 @@ from __future__ import annotations
 import itertools
 
 from ..decomposition import INTRODUCE
-from .base import ProblemDefinition
+from .base import FORGET_ACTION, ProblemDefinition
 
-FORGET_ACTION = ("forget",)
 SELECT = ("select",)
 SKIP = ("skip",)
 

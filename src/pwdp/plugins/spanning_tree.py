@@ -13,9 +13,7 @@ from math import comb
 from ..decomposition import INTRODUCE
 from ..errors import NotApplicableError
 from ..partition import normalize_partition, restricted_growth_strings
-from .base import ProblemDefinition, bag_edge
-
-FORGET_ACTION = ("forget",)
+from .base import FORGET_ACTION, ProblemDefinition, chain_edges
 
 
 class MaxLeafTreeProblem(ProblemDefinition):
@@ -59,7 +57,7 @@ class MaxLeafTreeProblem(ProblemDefinition):
         acts += [("leaf", j) for j in ctx.nbrs]
         for size in range(2, len(ctx.nbrs) + 1):
             for combo in itertools.combinations(ctx.nbrs, size):
-                acts.append(("join", combo))
+                acts.append(("join", *combo))
         return acts
 
     def _w(self, ctx, j):
@@ -90,7 +88,7 @@ class MaxLeafTreeProblem(ProblemDefinition):
             s2[2 * j + 1] = min(2, deg + 1)
             s2 += [cid, 1]
             return (tuple(s2), value + gain, True)
-        sv = action[1]
+        sv = action[1:]
         sv_cids = [state[2 * j] for j in sv]
         if len(set(sv_cids)) != len(sv_cids):
             return ((), 0, False)  # two picks in one component: a cycle
@@ -120,15 +118,7 @@ class MaxLeafTreeProblem(ProblemDefinition):
         return tuple(out)
 
     def extract_certificate(self, chain):
-        edges = []
-        for ctx, _prev, action, _state in chain:
-            if ctx.kind != INTRODUCE:
-                continue
-            if action[0] == "leaf":
-                edges.append(bag_edge(ctx, action[1]))
-            elif action[0] == "join":
-                edges.extend(bag_edge(ctx, j) for j in action[1])
-        return sorted(edges)
+        return chain_edges(chain)
 
     def check_certificate(self, edges):
         g = self.graph

@@ -64,6 +64,14 @@ def test_avg_path_rational_output(tmp_path, capsys):
                        "-L", "2", "-U", "2")
     assert code == 0
     assert out.splitlines()[0].startswith("objective 11/2 (~5.5")
+    # solve and oracle print the same value the same way, in lowest terms
+    g = write(tmp_path, "p3w.g", "graph 3 2\ne 1 2\ne 2 3\n"
+                                 "vw 1 2\nvw 2 4\nvw 3 1\n")
+    for cmd in ("solve", "oracle"):
+        code, out, _ = run(capsys, cmd, "avg-path", "--graph", g,
+                           "-L", "2", "-U", "2")
+        assert code == 0
+        assert out.splitlines()[0] == "objective 3/1 (~3.000000)"
 
 
 def test_grid_instance_with_pruning(tmp_path, capsys):

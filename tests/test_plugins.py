@@ -8,10 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from pwdp.decomposition import exact_pathwidth_decomposition, grid_sweep_decomposition
+from pwdp.decomposition import (
+    PathDecomposition, exact_pathwidth_decomposition, grid_sweep_decomposition,
+    nicify,
+)
 from pwdp.engine import generate_states, reconstruct_solution, run_dp
 from pwdp.errors import NotApplicableError
 from pwdp.graph import Graph, PartialGrid, grid_to_graph
+from pwdp.oracle import oracle_rect_cover
 from pwdp.plugins import PLUGIN_NAMES, make_plugin
 
 
@@ -285,6 +289,21 @@ class TestRectCover:
         with pytest.raises(ValueError):
             make_plugin("rect-cover", grid_to_graph(grid),
                         grid=grid, pieces=[(1, 3)])
+
+    def test_reused_plugin_matches_oracle(self):
+        # one plugin instance runs on two decompositions of the same
+        # grid; the second run must not see the first run's geometry
+        for grid, pieces in [(full_grid(2, 3), [(1, 2)]),
+                             (full_grid(2, 3), [(2, 2), (1, 1)]),
+                             (full_grid(3, 2), [(2, 1), (1, 1)])]:
+            g = grid_to_graph(grid)
+            plugin = make_plugin("rect-cover", g, grid=grid, pieces=pieces)
+            sweep, _ = grid_sweep_decomposition(grid, transpose=False,
+                                                widen=True)
+            one_bag = nicify(PathDecomposition([list(g.vertices())]), g)
+            expected = oracle_rect_cover(grid, pieces).objective
+            for npd in (sweep, one_bag):
+                assert run_dp(plugin, g, npd).objective == expected
 
     def test_needs_widened_sweep(self):
         grid = full_grid(2, 3)
