@@ -11,7 +11,7 @@ from .engine import (
 from .errors import (
     PwdpError, GraphError, GraphFormatError, DecompositionError,
     SizeLimitError, CapacityError, PluginInconsistencyError,
-    ReconstructionUnavailableError, NotApplicableError,
+    ReconstructionUnavailableError, NotApplicableError, ParameterError,
 )
 from .graph import Graph, PartialGrid, parse_graph, parse_grid, grid_to_graph
 from .partition import normalize_partition

@@ -105,12 +105,19 @@ def build_parser():
     return ap
 
 
+def _read(path):
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise PwdpError(f"{path}: not a text file ({exc.reason})") from None
+
+
 def _load_instance(args):
     """Returns (graph, grid-or-None)."""
     if args.grid:
-        grid = parse_grid(Path(args.grid).read_text())
+        grid = parse_grid(_read(args.grid))
         return grid_to_graph(grid), grid
-    return parse_graph(Path(args.graph).read_text()), None
+    return parse_graph(_read(args.graph)), None
 
 
 def _collect_params(args, grid):
@@ -128,14 +135,23 @@ def _collect_params(args, grid):
     return params
 
 
+def _load_problem(args):
+    """The instance and parameters of a solve or oracle run, checked by
+    building the plugin: (plugin, graph, grid-or-None, params)."""
+    graph, grid = _load_instance(args)
+    if args.problem == "rect-cover" and grid is None:
+        raise PwdpError("rect-cover needs a --grid instance")
+    params = _collect_params(args, grid)
+    plugin = make_plugin(args.problem, graph, **params)
+    return plugin, graph, grid, params
+
+
 def _resolve_decomp(args, graph, grid):
     """Build or load the nice decomposition for a solve run."""
     choice = args.decomp
     if args.problem == "rect-cover":
         if choice not in ("auto", "grid-sweep"):
             raise PwdpError("rect-cover runs on its own widened grid sweep")
-        if grid is None:
-            raise PwdpError("rect-cover needs a --grid instance")
         npd, _ = grid_sweep_decomposition(grid, transpose=False, widen=True)
         return npd
     if choice == "auto":
@@ -154,7 +170,7 @@ def _resolve_decomp(args, graph, grid):
     if choice == "exact-tiny":
         npd, _ = exact_pathwidth_decomposition(graph)
         return npd
-    pd = parse_decomposition(Path(choice).read_text())
+    pd = parse_decomposition(_read(choice))
     return nicify(pd, graph)
 
 
@@ -166,9 +182,7 @@ def _print_objective(obj):
 
 
 def _cmd_solve(args):
-    graph, grid = _load_instance(args)
-    params = _collect_params(args, grid)
-    plugin = make_plugin(args.problem, graph, **params)
+    plugin, graph, grid, _params = _load_problem(args)
     npd = _resolve_decomp(args, graph, grid)
     allowed = catalan_allowed(plugin, npd) if args.prune_catalan else None
     retain = args.reconstruct or args.dump_tables
@@ -204,11 +218,8 @@ def _cmd_solve(args):
 
 
 def _cmd_oracle(args):
-    graph, grid = _load_instance(args)
-    params = _collect_params(args, None)
+    _plugin, graph, grid, params = _load_problem(args)
     instance = grid if args.problem == "rect-cover" else graph
-    if args.problem == "rect-cover" and grid is None:
-        raise PwdpError("rect-cover needs a --grid instance")
     res = oracle_mod.oracle_solve(args.problem, instance, params)
     if not res.feasible:
         print("infeasible")
@@ -218,16 +229,16 @@ def _cmd_oracle(args):
 
 
 def _cmd_validate_decomp(args):
-    graph = parse_graph(Path(args.graph).read_text())
-    pd = parse_decomposition(Path(args.decomp).read_text())
+    graph = parse_graph(_read(args.graph))
+    pd = parse_decomposition(_read(args.decomp))
     pd.validate(graph)
     print(f"valid width {pd.width}")
     return EXIT_OK
 
 
 def _cmd_nicify(args):
-    graph = parse_graph(Path(args.graph).read_text())
-    pd = parse_decomposition(Path(args.decomp).read_text())
+    graph = parse_graph(_read(args.graph))
+    pd = parse_decomposition(_read(args.decomp))
     npd = nicify(pd, graph)
     sys.stdout.write(npd.to_path_decomposition().serialize())
     return EXIT_OK
@@ -262,7 +273,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (PwdpError, OSError, ValueError, KeyError) as exc:
+    except (PwdpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -6,6 +6,11 @@ for it.  Absent keys play the role of the uninitialized sentinel, so the
 overwrite rule is: write when the slot is empty, else only when the new
 value is strictly better.  Ties keep the first writer, which fixes the
 reconstruction origin deterministically.
+
+Nodes that share a key (node shape, action list and the plugin's
+value_key) expand a state to the same next states with the same value
+changes, so each state's moves are computed once per key and replayed
+at the key's later nodes.
 """
 from __future__ import annotations
 
@@ -135,6 +140,17 @@ class DpRunResult:
     certificate: object = None    # filled by the solver facade when retained
 
 
+def _moves(expand_state, normalize, state, ctx, actions, value):
+    """(action index, normalized next state, value change) for each
+    action that applies to state, in action order."""
+    moves = []
+    for ai, action in enumerate(actions):
+        new_state, new_value, ok = expand_state(state, ctx, action, value)
+        if ok:
+            moves.append((ai, normalize(new_state), new_value - value))
+    return moves
+
+
 def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
            capacity: int = 50_000_000, retain: bool = False,
            allowed: Optional[Dict[int, frozenset]] = None,
@@ -142,13 +158,19 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     """Run the generic DP loop and select the best valid final state.
 
     Each node expands every predecessor state under every action in
-    order, normalizes the result and merges it into the next table.
+    order, normalizes the result and merges it into the next table.  A
+    node whose key recurs at a later node keeps each state's moves
+    (action index, normalized next state, value change) in a memo; the
+    later nodes replay them without calling expand_state or normalize,
+    and the memo is dropped after the key's last node.
     allowed maps bag size to a pruned state set (Catalan pruning); its
     sizes are the reported per-node bound and feed the capacity check.
     With validate, every expansion must land in allowed when given, and
-    in the plugin's full canonical state set otherwise.  With retain,
-    every table and origin map is kept for reconstruction.  The plugin
-    must be bound to graph itself, since it reads weights from there.
+    in the plugin's full canonical state set otherwise, and every replayed
+    state is expanded afresh and must give the same moves, which catches
+    a value_key that leaves out a weight.  With retain, every table and
+    origin map is kept for reconstruction.  The plugin must be bound to
+    graph itself, since it reads weights from there.
     """
     if plugin.graph is not graph:
         raise NotApplicableError(
@@ -168,6 +190,22 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                 raise CapacityError(
                     f"bag size {nv} needs more than {capacity} state slots")
 
+    # expand_state reads only these parts of a node, and the value
+    # change only the weights in value_key, so nodes with equal keys
+    # expand every state alike; left counts each key's nodes still to come
+    key_ids = {}
+    node_keys = []
+    for ctx in ctxs:
+        actions = tuple(plugin.set_of_actions(ctx))
+        key = (ctx.kind, ctx.pos, ctx.nbrs, len(ctx.order_before),
+               ctx.is_last, actions, plugin.value_key(ctx))
+        node_keys.append(key_ids.setdefault(key, len(key_ids)))
+    key_actions = [key[5] for key in key_ids]
+    left = [0] * len(key_ids)
+    for k in node_keys:
+        left[k] += 1
+    memos = {}
+
     expand_state = plugin.expand_state
     normalize = plugin.normalize
     better = plugin.better
@@ -176,21 +214,46 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     origins = [] if retain else None
     stats = []
 
-    for ctx in ctxs:
-        actions = plugin.set_of_actions(ctx)
+    for ctx, k in zip(ctxs, node_keys):
+        actions = key_actions[k]
+        left[k] -= 1
+        memo = memos.setdefault(k, {}) if left[k] else memos.pop(k, None)
         nxt = {}
         org = {} if retain else None
-        for state, value in table.items():
-            for ai, action in enumerate(actions):
-                new_state, new_value, ok = expand_state(state, ctx, action,
-                                                        value)
-                if not ok:
-                    continue
-                new_state = normalize(new_state)
-                if new_state not in nxt or better(new_value, nxt[new_state]):
-                    nxt[new_state] = new_value
-                    if org is not None:
-                        org[new_state] = (state, ai)
+        if memo is None:
+            # a key no later node carries: expand straight into nxt
+            for state, value in table.items():
+                for ai, action in enumerate(actions):
+                    new_state, new_value, ok = expand_state(state, ctx, action,
+                                                            value)
+                    if not ok:
+                        continue
+                    new_state = normalize(new_state)
+                    old = nxt.get(new_state)
+                    if old is None or better(new_value, old):
+                        nxt[new_state] = new_value
+                        if org is not None:
+                            org[new_state] = (state, ai)
+        else:
+            for state, value in table.items():
+                moves = memo.get(state)
+                if moves is None:
+                    moves = memo[state] = _moves(expand_state, normalize,
+                                                 state, ctx, actions, value)
+                elif validate and moves != _moves(expand_state, normalize,
+                                                  state, ctx, actions, value):
+                    raise PluginInconsistencyError(
+                        f"{plugin.name} expands state {state} at node "
+                        f"{ctx.index + 1} unlike an earlier node with the "
+                        f"same key: value_key misses a weight the value "
+                        f"change reads")
+                for ai, new_state, delta in moves:
+                    new_value = value + delta
+                    old = nxt.get(new_state)
+                    if old is None or better(new_value, old):
+                        nxt[new_state] = new_value
+                        if org is not None:
+                            org[new_state] = (state, ai)
 
         nv = len(ctx.order_after)
         if validate:

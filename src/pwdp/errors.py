@@ -30,6 +30,11 @@ class DecompositionError(PwdpError):
         super().__init__(f"{kind}: {detail}")
 
 
+class ParameterError(PwdpError, ValueError):
+    """Problem parameters missing, out of range, or not valid for the
+    instance they come with."""
+
+
 class SizeLimitError(PwdpError):
     """Instance too large for an exhaustive routine."""
 

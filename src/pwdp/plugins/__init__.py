@@ -6,6 +6,7 @@ is how the command line and the solver facade construct them.
 """
 from __future__ import annotations
 
+from ..errors import ParameterError
 from .avg_path import AvgPathProblem
 from .base import ProblemDefinition
 from .coloring import CanonicalColoringProblem, ColoringProblem, PenaltyColoringProblem
@@ -35,7 +36,7 @@ __all__ = [
 
 def _need(params, key, kind=int):
     if key not in params:
-        raise ValueError(f"missing required parameter '{key}'")
+        raise ParameterError(f"missing required parameter '{key}'")
     return kind(params[key])
 
 
@@ -63,5 +64,6 @@ def make_plugin(name, graph, **params):
         factory = _FACTORIES[name]
     except KeyError:
         known = ", ".join(PLUGIN_NAMES)
-        raise ValueError(f"unknown problem '{name}' (known: {known})") from None
+        raise ParameterError(
+            f"unknown problem '{name}' (known: {known})") from None
     return factory(graph, params)

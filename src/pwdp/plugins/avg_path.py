@@ -15,6 +15,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from ..decomposition import INTRODUCE
+from ..errors import ParameterError
 from ..partition import (
     extend_fragment, fragment_states, join_fragments, normalize_partition,
 )
@@ -31,7 +32,8 @@ class AvgPathProblem(ProblemDefinition):
     def __init__(self, graph, L, U):
         super().__init__(graph)
         if not (1 <= L <= U <= graph.n):
-            raise ValueError(f"need 1 <= L <= U <= {graph.n}, got L={L} U={U}")
+            raise ParameterError(
+                f"need 1 <= L <= U <= {graph.n}, got L={L} U={U}")
         self.L = L
         self.U = U
 
@@ -97,6 +99,11 @@ class AvgPathProblem(ProblemDefinition):
         if s2 is None:
             return ((), 0, False)
         return (s2 + (x + 1, f - 1), value + w, True)
+
+    def value_key(self, ctx):
+        if ctx.kind != INTRODUCE:
+            return ()
+        return self.graph.vertex_weight(ctx.vertex)
 
     def normalize(self, state):
         return normalize_partition(state[:-2], self.frozen) + state[-2:]

@@ -14,6 +14,18 @@ inapplicable to that predecessor, standing in for an infinite cost.
 Weights, penalties and costs come from the bound graph, never from the
 node context.
 
+The engine memoizes expansions across nodes, so expand_state may read
+from its node context only kind, pos, nbrs, len(order_before) and
+is_last, plus the action it is given; vertex and order_before serve only
+to look up weights.  The value change new_value - value must be the same
+for every value of the state, and value_key(ctx) returns every weight
+it reads: () when none is read (covers, coloring, rect-cover), w(v) for
+mwis and avg-path, the edge weights to nbrs for matching.  A plugin
+whose change is not additive, such as penalty-coloring's max mode,
+returns ctx.index instead: no other node shares that key, so its nodes
+are never replayed.  run_dp(validate=True) re-expands every replayed
+state and reports a key that misses a weight.
+
 Plugins share one action vocabulary: every forget node offers the single
 FORGET_ACTION, and an introduce action that picks graph edges lists the
 bag positions of their far ends right after its kind, as in
@@ -65,6 +77,13 @@ class ProblemDefinition:
     def expand_state(self, state: tuple, ctx, action, value):
         raise NotImplementedError
 
+    def value_key(self, ctx):
+        """Every weight the value change at this node reads, as a
+        hashable value; ctx.index when the change is not value + delta.
+        The engine replays a state's moves at later nodes of the same
+        shape and actions whose value_key is equal."""
+        raise NotImplementedError
+
     def normalize(self, state: tuple) -> tuple:
         return state
 
@@ -92,6 +111,16 @@ class ProblemDefinition:
     def check_certificate(self, certificate):
         """Independently re-verify; returns (ok, objective)."""
         raise NotImplementedError
+
+
+def neighbor_edge_key(ctx, weight):
+    """weight(u, v) from the introduced vertex v to each bag neighbor u,
+    in nbrs order, or () at a forget node: the value key of plugins that
+    pay per chosen edge."""
+    if ctx.kind != INTRODUCE:
+        return ()
+    v = ctx.vertex
+    return tuple(weight(ctx.order_before[j], v) for j in ctx.nbrs)
 
 
 def chain_edges(chain):

@@ -4,8 +4,9 @@ from __future__ import annotations
 import itertools
 
 from ..decomposition import INTRODUCE
+from ..errors import ParameterError
 from ..partition import count_partitions, normalize_partition, restricted_growth_strings
-from .base import FORGET_ACTION, ProblemDefinition
+from .base import FORGET_ACTION, ProblemDefinition, neighbor_edge_key
 
 COLOR = "color"
 
@@ -23,7 +24,7 @@ class ColoringProblem(ProblemDefinition):
     def __init__(self, graph, C):
         super().__init__(graph)
         if C < 1:
-            raise ValueError(f"C must be >= 1, got {C}")
+            raise ParameterError(f"C must be >= 1, got {C}")
         self.C = C
 
     def enumerate_states(self, nv):
@@ -48,6 +49,9 @@ class ColoringProblem(ProblemDefinition):
                     return ((), 0, False)
             return (state + (cx,), value, True)
         return (state[:ctx.pos] + state[ctx.pos + 1:], value, True)
+
+    def value_key(self, ctx):
+        return ()
 
     def extract_certificate(self, chain):
         colors = {}
@@ -120,11 +124,24 @@ class PenaltyColoringProblem(CanonicalColoringProblem):
     def __init__(self, graph, C, mode="sum"):
         super().__init__(graph, C)
         if mode not in ("sum", "max"):
-            raise ValueError(f"mode must be 'sum' or 'max', got {mode!r}")
+            raise ParameterError(f"mode must be 'sum' or 'max', got {mode!r}")
+        if mode == "max":
+            # the DP seeds the worst penalty with 0, which a negative
+            # penalty cannot exceed, so its optimum would be wrong
+            for u, v in graph.edges:
+                if graph.edge_penalty(u, v) < 0:
+                    raise ParameterError(
+                        f"mode 'max' needs penalties >= 0, edge ({u},{v}) "
+                        f"has {graph.edge_penalty(u, v)}")
         self.mode = mode
 
     def initial_value(self):
         return 0
+
+    def value_key(self, ctx):
+        if self.mode == "max":
+            return ctx.index   # max(value, pen) is no fixed value + delta
+        return neighbor_edge_key(ctx, self.graph.edge_penalty)
 
     def expand_state(self, state, ctx, action, value):
         if action[0] == COLOR:

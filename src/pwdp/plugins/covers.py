@@ -78,6 +78,9 @@ class PathCoverProblem(ProblemDefinition):
             return ((), 0, False)
         return (s2, value + self.connect_delta, True)
 
+    def value_key(self, ctx):
+        return ()
+
     def normalize(self, state):
         return normalize_partition(state, self.frozen)
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 
 from ..decomposition import INTRODUCE
-from .base import FORGET_ACTION, ProblemDefinition, chain_edges
+from .base import (
+    FORGET_ACTION, ProblemDefinition, chain_edges, neighbor_edge_key,
+)
 
 FREE, MATCHED, OBLIGATED = 0, 1, 2
 
@@ -53,6 +55,9 @@ class MinMaximalMatchingProblem(ProblemDefinition):
                     s2[j] = OBLIGATED
         del s2[ctx.pos]
         return (tuple(s2), value, True)
+
+    def value_key(self, ctx):
+        return neighbor_edge_key(ctx, self.graph.edge_weight)
 
     def extract_certificate(self, chain):
         return chain_edges(chain)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from ..decomposition import INTRODUCE
-from ..errors import NotApplicableError
+from ..errors import NotApplicableError, ParameterError
 from .base import FORGET_ACTION, ProblemDefinition
 
 
@@ -27,12 +27,13 @@ class RectCoverProblem(ProblemDefinition):
     def __init__(self, graph, grid, pieces):
         super().__init__(graph)
         if not pieces:
-            raise ValueError("need at least one piece type")
+            raise ParameterError("need at least one piece type")
         for r, c in pieces:
             if r < 1 or c < 1:
-                raise ValueError(f"bad piece ({r}, {c})")
+                raise ParameterError(f"bad piece ({r}, {c})")
             if c > grid.cols:
-                raise ValueError(f"piece ({r}, {c}) wider than the grid")
+                raise ParameterError(
+                    f"piece ({r}, {c}) wider than the grid")
         if graph.coords is None:
             raise NotApplicableError("graph lacks cell coordinates")
         self.grid = grid
@@ -103,6 +104,9 @@ class RectCoverProblem(ProblemDefinition):
             s2[p] = 0
         s2.append(0)
         return (tuple(s2), value + 1, True)
+
+    def value_key(self, ctx):
+        return ()
 
     def extract_certificate(self, chain):
         coords = self.graph.coords

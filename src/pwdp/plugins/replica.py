@@ -5,7 +5,8 @@ from __future__ import annotations
 import itertools
 
 from ..decomposition import INTRODUCE
-from .base import FORGET_ACTION, ProblemDefinition
+from ..errors import ParameterError
+from .base import FORGET_ACTION, ProblemDefinition, neighbor_edge_key
 
 SELECT = ("select",)
 SKIP = ("skip",)
@@ -25,7 +26,7 @@ class KReplicaProblem(ProblemDefinition):
     def __init__(self, graph, k):
         super().__init__(graph)
         if not (1 <= k <= graph.n):
-            raise ValueError(f"k must be in 1..{graph.n}, got {k}")
+            raise ParameterError(f"k must be in 1..{graph.n}, got {k}")
         self.k = k
 
     def enumerate_states(self, nv):
@@ -58,6 +59,12 @@ class KReplicaProblem(ProblemDefinition):
             if state[j] == 1:
                 cost += g.edge_penalty(ctx.order_before[j], ctx.vertex)
         return (state[:-1] + (1, x + 1), cost, True)
+
+    def value_key(self, ctx):
+        if ctx.kind != INTRODUCE:
+            return ()
+        return (self.graph.selection_cost(ctx.vertex),
+                neighbor_edge_key(ctx, self.graph.edge_penalty))
 
     def is_valid_final(self, state):
         return state[-1] == self.k
@@ -109,6 +116,11 @@ class MwisProblem(ProblemDefinition):
                 return ((), 0, False)
         return (state + (1,), value + self.graph.vertex_weight(ctx.vertex),
                 True)
+
+    def value_key(self, ctx):
+        if ctx.kind != INTRODUCE:
+            return ()
+        return self.graph.vertex_weight(ctx.vertex)
 
     def extract_certificate(self, chain):
         return sorted(ctx.vertex for ctx, _p, action, _s in chain

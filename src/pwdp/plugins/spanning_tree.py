@@ -109,6 +109,12 @@ class MaxLeafTreeProblem(ProblemDefinition):
         s2 += [newcid, 2]
         return (tuple(s2), value - lost, True)
 
+    def value_key(self, ctx):
+        if ctx.kind != INTRODUCE:
+            return ()
+        return (self.graph.vertex_weight(ctx.vertex),
+                tuple(self._w(ctx, j) for j in ctx.nbrs))
+
     def normalize(self, state):
         cids = normalize_partition(state[0::2])
         out = []

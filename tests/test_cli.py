@@ -1,3 +1,5 @@
+import pytest
+
 from pwdp.cli import main
 
 P4 = "graph 4 3\ne 1 2\ne 2 3\ne 3 4\n"
@@ -166,6 +168,34 @@ def test_rect_cover_without_piece_is_error(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "rect-cover", "--grid", g)
     assert code == 1
     assert "missing required parameter 'pieces'" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("coloring", "--graph", "k3.g", "-C", "0"), "C must be >= 1"),
+    (("penalty-coloring", "--graph", "k3.g", "-C", "0"), "C must be >= 1"),
+    (("coloring", "--graph", "k3.g"), "missing required parameter 'C'"),
+    (("rect-cover", "--grid", "g23.grid", "--piece", "9x9"),
+     "wider than the grid"),
+    # max mode seeds the worst penalty with 0, which -3 cannot beat
+    (("penalty-coloring", "--graph", "neg.g", "-C", "1", "--mode", "max"),
+     "penalties >= 0"),
+], ids=["coloring-C0", "penalty-coloring-C0", "missing-C", "wide-piece",
+        "max-mode-negative-penalty"])
+def test_solve_and_oracle_reject_parameters_alike(tmp_path, capsys, argv,
+                                                  message):
+    write(tmp_path, "k3.g", K3)
+    write(tmp_path, "g23.grid", GRID23)
+    write(tmp_path, "neg.g", "graph 2 1\ne 1 2\npen 1 2 -3\n")
+    argv = [str(tmp_path / a) if a.endswith((".g", ".grid")) else a
+            for a in argv]
+    seen = []
+    for cmd in ("solve", "oracle"):
+        code, out, err = run(capsys, cmd, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+        seen.append(err)
+    assert seen[0] == seen[1]
 
 
 def test_auto_needs_file_beyond_tiny(tmp_path, capsys):

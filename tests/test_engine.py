@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 
 from pwdp.decomposition import (
@@ -5,8 +8,8 @@ from pwdp.decomposition import (
     exact_pathwidth_decomposition, grid_sweep_decomposition,
 )
 from pwdp.engine import (
-    catalan_allowed, catalan_prune, crosses, generate_states,
-    reconstruct_solution, run_dp,
+    build_contexts, catalan_allowed, catalan_prune, crosses,
+    generate_states, reconstruct_solution, run_dp,
 )
 from pwdp.errors import (
     CapacityError, DecompositionError, NotApplicableError,
@@ -16,6 +19,7 @@ from pwdp.graph import Graph, PartialGrid, grid_to_graph
 from pwdp.plugins import PLUGIN_NAMES, make_plugin
 from pwdp.plugins.base import ProblemDefinition
 from pwdp.plugins.coloring import CanonicalColoringProblem
+from pwdp.plugins.replica import MwisProblem
 
 
 def path_graph(n):
@@ -248,6 +252,110 @@ class TestValidateMode:
         run_dp(plugin, g, npd, validate=True)
         with pytest.raises(PluginInconsistencyError, match=r"\(1, 2, 1, 2\)"):
             run_dp(plugin, g, npd, validate=True, allowed=noncrossing)
+
+
+def reference_tables(plugin, graph, npd):
+    """The loop without memoized expansions: every node expands, then
+    normalizes and merges, every state under every action."""
+    table = {plugin.empty_state(): plugin.initial_value()}
+    tables, origins = [], []
+    for ctx in build_contexts(graph, npd):
+        nxt, org = {}, {}
+        for state, value in table.items():
+            for ai, action in enumerate(plugin.set_of_actions(ctx)):
+                new_state, new_value, ok = plugin.expand_state(
+                    state, ctx, action, value)
+                if not ok:
+                    continue
+                new_state = plugin.normalize(new_state)
+                if new_state not in nxt or plugin.better(new_value,
+                                                         nxt[new_state]):
+                    nxt[new_state] = new_value
+                    org[new_state] = (state, ai)
+        table = nxt
+        tables.append(table)
+        origins.append(org)
+    return tables, origins
+
+
+def node_key(plugin, ctx):
+    return (ctx.kind, ctx.pos, ctx.nbrs, len(ctx.order_before), ctx.is_last,
+            tuple(plugin.set_of_actions(ctx)), plugin.value_key(ctx))
+
+
+def weighted_grid(rows, cols, seed):
+    """A full grid whose weights, costs and penalties are 1 or 2, so node
+    keys both repeat and differ along the sweep."""
+    grid = full_grid(rows, cols)
+    g = grid_to_graph(grid)
+    rng = random.Random(seed)
+
+    def vmap():
+        return {v: rng.choice((1, 2)) for v in g.vertices()}
+
+    def emap():
+        return {e: rng.choice((1, 2)) for e in g.edges}
+
+    return grid, Graph(g.n, g.edges, vertex_weights=vmap(),
+                       selection_costs=vmap(), edge_weights=emap(),
+                       edge_penalties=emap(), coords=g.coords)
+
+
+class UnderKeyedMwis(MwisProblem):
+    """Leaves w(v) out of its value key, so replays reuse another
+    vertex's weight."""
+
+    def value_key(self, ctx):
+        return ()
+
+
+class TestMemo:
+    @pytest.mark.parametrize("name, mode",
+                             [(name, "sum") for name in PLUGIN_NAMES]
+                             + [("penalty-coloring", "max")])
+    def test_matches_reference_loop(self, name, mode):
+        grid, g = weighted_grid(3, 5, seed=len(name))
+        npd, _ = grid_sweep_decomposition(grid, transpose=False,
+                                          widen=name == "rect-cover")
+        plugin = make_plugin(name, g, grid=grid, mode=mode, C=3, k=4, L=2,
+                             U=5, pieces=[(1, 2), (2, 1), (2, 2)])
+        res = run_dp(plugin, g, npd, retain=True)
+        tables, origins = reference_tables(plugin, g, npd)
+        assert ([list(t.items()) for t in res.tables]
+                == [list(t.items()) for t in tables])
+        assert ([list(o.items()) for o in res.origins]
+                == [list(o.items()) for o in origins])
+        assert [s.filled for s in res.stats] == [len(t) for t in tables]
+
+    def test_under_keyed_plugin_caught(self):
+        g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)],
+                  vertex_weights={1: 1, 2: 5, 3: 1, 4: 7, 5: 2})
+        npd, _ = exact_pathwidth_decomposition(g)
+        assert run_dp(MwisProblem(g), g, npd, validate=True).objective == 12
+        with pytest.raises(PluginInconsistencyError, match="value_key"):
+            run_dp(UnderKeyedMwis(g), g, npd, validate=True)
+
+    def test_each_key_state_action_expanded_once(self):
+        grid = full_grid(4, 6)
+        g = grid_to_graph(grid)
+        npd, _ = grid_sweep_decomposition(grid)
+        plugin = make_plugin("cycle-cover", g)
+        calls = Counter()
+        expand = plugin.expand_state
+
+        def counted(state, ctx, action, value):
+            calls[node_key(plugin, ctx), state, action] += 1
+            return expand(state, ctx, action, value)
+
+        plugin.expand_state = counted
+        res = run_dp(plugin, g, npd)
+        assert res.objective == 1
+        assert max(calls.values()) == 1
+        # every state times every action at every node, as without a memo
+        sizes = [1] + [s.filled for s in res.stats[:-1]]
+        candidates = sum(size * len(plugin.set_of_actions(ctx))
+                         for size, ctx in zip(sizes, build_contexts(g, npd)))
+        assert sum(calls.values()) < candidates / 2
 
 
 class RepeatingEnumeration(ProblemDefinition):

@@ -7,16 +7,18 @@ import pytest
 
 from pwdp.decomposition import (
     PathDecomposition, exact_pathwidth_decomposition,
-    grid_sweep_decomposition, parse_decomposition,
+    grid_sweep_decomposition, nicify, parse_decomposition,
 )
 from pwdp.engine import reconstruct_solution, run_dp
+from pwdp.errors import ParameterError
 from pwdp.graph import (
     Graph, PartialGrid, grid_to_graph, parse_graph, parse_grid,
     serialize_grid,
 )
+from pwdp.oracle import oracle_solve
 from pwdp.plugins import PLUGIN_NAMES, make_plugin
 
-weights = st.integers(1, 9)
+weights = st.integers(-5, 9)
 
 
 @st.composite
@@ -40,6 +42,26 @@ def graphs(draw, min_n=1):
 
 
 @st.composite
+def decompositions(draw, g):
+    """An optimal decomposition, or a valid wider one: bags along a
+    shuffled vertex order, each vertex's run of bags padded by up to one
+    bag on either side.  Its node shapes repeat, so memoized expansions
+    get replayed."""
+    if draw(st.booleans()):
+        return exact_pathwidth_decomposition(g)[0]
+    order = draw(st.permutations(list(g.vertices())))
+    pos = {v: t for t, v in enumerate(order)}
+    runs = {}
+    for v in order:
+        last = max([pos[v]] + [pos[u] for u in g.neighbors(v)])
+        runs[v] = (max(pos[v] - draw(st.integers(0, 1)), 0),
+                   min(last + draw(st.integers(0, 1)), g.n - 1))
+    bags = [[v for v in order if runs[v][0] <= t <= runs[v][1]]
+            for t in range(g.n)]
+    return nicify(PathDecomposition(bags), g)
+
+
+@st.composite
 def grids(draw):
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     cells = [(r, c) for r in range(rows) for c in range(cols)]
@@ -52,7 +74,8 @@ def grids(draw):
 
 @st.composite
 def instances(draw, name):
-    """(plugin, graph, nice decomposition) for one plugin name."""
+    """(graph, params, nice decomposition, oracle instance) for one
+    plugin name."""
     if name == "rect-cover":
         grid = draw(grids())
         pieces = draw(st.lists(st.tuples(st.integers(1, grid.rows),
@@ -60,7 +83,7 @@ def instances(draw, name):
                                min_size=1, max_size=2))
         g = grid_to_graph(grid)
         npd, _ = grid_sweep_decomposition(grid, transpose=False, widen=True)
-        return make_plugin(name, g, grid=grid, pieces=pieces), g, npd
+        return g, {"grid": grid, "pieces": pieces}, npd, grid
     g = draw(graphs(min_n=2 if name == "max-leaf-tree" else 1))
     params = {}
     if "coloring" in name:
@@ -72,8 +95,7 @@ def instances(draw, name):
     if name == "avg-path":
         params["U"] = draw(st.integers(1, g.n))
         params["L"] = draw(st.integers(1, params["U"]))
-    npd, _ = exact_pathwidth_decomposition(g)
-    return make_plugin(name, g, **params), g, npd
+    return g, params, draw(decompositions(g)), g
 
 
 @pytest.mark.parametrize("name", PLUGIN_NAMES)
@@ -81,13 +103,23 @@ def instances(draw, name):
 @given(data=st.data())
 def test_plugin_contract(name, data):
     # validate=True checks every expansion lands in the canonical state
-    # set; table states are normalize outputs, so normalize must fix them
-    plugin, g, npd = data.draw(instances(name))
+    # set and every replayed expansion against a fresh one; table states
+    # are normalize outputs, so normalize must fix them
+    g, params, npd, instance = data.draw(instances(name))
+    if params.get("mode") == "max" and any(g.edge_penalty(u, v) < 0
+                                           for u, v in g.edges):
+        with pytest.raises(ParameterError):
+            make_plugin(name, g, **params)
+        return
+    plugin = make_plugin(name, g, **params)
     res = run_dp(plugin, g, npd, retain=True, validate=True)
     for table in res.tables:
         for state in table:
             assert plugin.normalize(state) == state
+    expected = oracle_solve(name, instance, params)
+    assert res.feasible == expected.feasible
     if res.feasible:
+        assert res.objective == expected.objective
         ok, objective = plugin.check_certificate(reconstruct_solution(res))
         assert ok
         assert objective == res.objective
