@@ -7,6 +7,12 @@ overwrite rule is: write when the slot is empty, else only when the new
 value is strictly better.  Ties keep the first writer, which fixes the
 reconstruction origin deterministically.
 
+With retain, each node keeps only its origin map, from each state to the
+predecessor state that last wrote it.  Values are not kept: _replay()
+walks the origins forward again and recomputes them, for reconstruction
+and for DpRunResult.tables.  Node contexts are made per node as each
+walk reaches them, never held as a list.
+
 Nodes that share a key (node shape, action list and the plugin's
 value_key) expand a state to the same next states with the same value
 changes, so each state's moves are computed once per key and replayed
@@ -15,7 +21,7 @@ at the key's later nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .decomposition import INTRODUCE, NicePathDecomposition
 from .errors import (
@@ -26,8 +32,7 @@ from .graph import Graph
 from .partition import crosses
 
 
-@dataclass(frozen=True)
-class NodeCtx:
+class NodeCtx(NamedTuple):
     """Everything a plugin may ask about one decomposition node.
 
     Positions are 0-based indices into order_before.  For an introduce
@@ -48,28 +53,31 @@ class NodeCtx:
     is_last: bool
 
 
-def build_contexts(graph: Graph, npd: NicePathDecomposition) -> List[NodeCtx]:
-    """One context per node, after npd.validate(graph) has checked in
-    O(n + m) that npd covers every vertex and edge of graph."""
+def build_contexts(graph: Graph, npd: NicePathDecomposition
+                   ) -> Iterator[NodeCtx]:
+    """Check now, in O(n + m), that npd covers every vertex and edge of
+    graph (npd.validate), then return a lazy iterator that makes one
+    context per node as the walk reaches it."""
     npd.validate(graph)
-    ctxs = []
+    return _contexts(graph, npd)
+
+
+def _contexts(graph: Graph, npd: NicePathDecomposition) -> Iterator[NodeCtx]:
+    """The contexts of a decomposition already validated against graph.
+
+    A vertex is not its own neighbor, so at a forget node nbrs leaves
+    out pos by itself.
+    """
+    neighbors = graph.neighbors
     prev: Tuple[int, ...] = ()
     last = len(npd.nodes) - 1
     for i, node in enumerate(npd.nodes):
         v = node.vertex
-        if node.kind == INTRODUCE:
-            pos = None
-            nbrs = tuple(j for j, u in enumerate(prev) if graph.adjacent(u, v))
-        else:
-            pos = prev.index(v)
-            nbrs = tuple(j for j, u in enumerate(prev)
-                         if j != pos and graph.adjacent(u, v))
-        ctxs.append(NodeCtx(
-            index=i, kind=node.kind, vertex=v,
-            order_before=prev, order_after=node.order,
-            pos=pos, nbrs=nbrs, is_last=(i == last)))
+        near = neighbors(v)
+        nbrs = tuple([j for j, u in enumerate(prev) if u in near])
+        pos = None if node.kind == INTRODUCE else prev.index(v)
+        yield NodeCtx(i, node.kind, v, prev, node.order, pos, nbrs, i == last)
         prev = node.order
-    return ctxs
 
 
 def generate_states(plugin, nv: int) -> frozenset:
@@ -114,8 +122,7 @@ def catalan_allowed(plugin, npd):
     return out
 
 
-@dataclass
-class NodeStats:
+class NodeStats(NamedTuple):
     index: int
     kind: str
     vertex: int
@@ -126,6 +133,13 @@ class NodeStats:
 
 @dataclass
 class DpRunResult:
+    """The outcome of run_dp.
+
+    origins, kept only with retain, holds one map per node from each
+    state of its table to the predecessor state that wrote it, the
+    predecessor being a key object of the map before.  The tables
+    themselves are not kept; the tables property replays them.
+    """
     feasible: bool
     value: object = None          # raw table value of the winning state
     objective: object = None      # final_value of the winning state
@@ -134,20 +148,60 @@ class DpRunResult:
     plugin: object = None
     graph: object = None
     npd: object = None
-    contexts: list = None
-    tables: Optional[list] = None
     origins: Optional[list] = None
     certificate: object = None    # filled by the solver facade when retained
 
+    @property
+    def tables(self) -> Optional[list]:
+        """Every node's table, state to value, replayed forward along
+        the origins; None unless origins were retained.  Keys and their
+        order are the origin maps', which are the tables' own."""
+        if self.origins is None:
+            return None
+        plugin = self.plugin
+        table = {plugin.empty_state(): plugin.initial_value()}
+        tables = []
+        for ctx, org in zip(_contexts(self.graph, self.npd), self.origins):
+            actions = plugin.set_of_actions(ctx)
+            table = {state: _replay(plugin, ctx, actions, pred, table[pred],
+                                   state)[1]
+                     for state, pred in org.items()}
+            tables.append(table)
+        return tables
+
+
+def _replay(plugin, ctx, actions, pred, value, state):
+    """(action, new value) for the first action from pred, in action
+    order, whose normalized next state is state and whose new value is
+    best under plugin.better.
+
+    When pred is state's origin and value is pred's table value, this is
+    the action that wrote state's final table entry and that entry's
+    value: the first writer among the candidates that reached the best
+    value, since a later equal candidate never overwrites.
+    """
+    best = None
+    for action in actions:
+        new_state, new_value, ok = plugin.expand_state(pred, ctx, action,
+                                                       value)
+        if (ok and (best is None or plugin.better(new_value, best[1]))
+                and plugin.normalize(new_state) == state):
+            best = (action, new_value)
+    if best is None:
+        raise PluginInconsistencyError(
+            f"{plugin.name} no longer reaches state {state} from its "
+            f"origin {pred} at node {ctx.index + 1}")
+    return best
+
 
 def _moves(expand_state, normalize, state, ctx, actions, value):
-    """(action index, normalized next state, value change) for each
-    action that applies to state, in action order."""
+    """(normalized next state, value change) for each action that
+    applies to state, in action order."""
     moves = []
-    for ai, action in enumerate(actions):
+    for action in actions:
         new_state, new_value, ok = expand_state(state, ctx, action, value)
         if ok:
-            moves.append((ai, normalize(new_state), new_value - value))
+            moves.append((normalize(new_state), new_value - value))
     return moves
 
 
@@ -160,7 +214,7 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     Each node expands every predecessor state under every action in
     order, normalizes the result and merges it into the next table.  A
     node whose key recurs at a later node keeps each state's moves
-    (action index, normalized next state, value change) in a memo; the
+    (normalized next state, value change) in a memo; the
     later nodes replay them without calling expand_state or normalize,
     and the memo is dropped after the key's last node.
     allowed maps bag size to a pruned state set (Catalan pruning); its
@@ -168,15 +222,16 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     With validate, every expansion must land in allowed when given, and
     in the plugin's full canonical state set otherwise, and every replayed
     state is expanded afresh and must give the same moves, which catches
-    a value_key that leaves out a weight.  With retain, every table and
-    origin map is kept for reconstruction.  The plugin must be bound to
-    graph itself, since it reads weights from there.
+    a value_key that leaves out a weight.  With retain, each node's
+    origin map (state to the predecessor state that wrote it) is kept
+    for reconstruction, and nothing else: no table and no context.
+    Contexts are made per node, once for the key pass and once for the
+    loop.  The plugin must be bound to graph itself, since it reads
+    weights from there.
     """
     if plugin.graph is not graph:
         raise NotApplicableError(
             f"{plugin.name} plugin is bound to another graph")
-    ctxs = build_contexts(graph, npd)
-
     allowed = allowed or {}
     allowed_counts = {}
     for node in npd.nodes:
@@ -195,7 +250,7 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     # expand every state alike; left counts each key's nodes still to come
     key_ids = {}
     node_keys = []
-    for ctx in ctxs:
+    for ctx in build_contexts(graph, npd):
         actions = tuple(plugin.set_of_actions(ctx))
         key = (ctx.kind, ctx.pos, ctx.nbrs, len(ctx.order_before),
                ctx.is_last, actions, plugin.value_key(ctx))
@@ -210,11 +265,10 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     normalize = plugin.normalize
     better = plugin.better
     table = {plugin.empty_state(): plugin.initial_value()}
-    tables = [] if retain else None
     origins = [] if retain else None
     stats = []
 
-    for ctx, k in zip(ctxs, node_keys):
+    for ctx, k in zip(_contexts(graph, npd), node_keys):
         actions = key_actions[k]
         left[k] -= 1
         memo = memos.setdefault(k, {}) if left[k] else memos.pop(k, None)
@@ -223,7 +277,7 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
         if memo is None:
             # a key no later node carries: expand straight into nxt
             for state, value in table.items():
-                for ai, action in enumerate(actions):
+                for action in actions:
                     new_state, new_value, ok = expand_state(state, ctx, action,
                                                             value)
                     if not ok:
@@ -233,7 +287,7 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                     if old is None or better(new_value, old):
                         nxt[new_state] = new_value
                         if org is not None:
-                            org[new_state] = (state, ai)
+                            org[new_state] = state
         else:
             for state, value in table.items():
                 moves = memo.get(state)
@@ -247,13 +301,13 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                         f"{ctx.index + 1} unlike an earlier node with the "
                         f"same key: value_key misses a weight the value "
                         f"change reads")
-                for ai, new_state, delta in moves:
+                for new_state, delta in moves:
                     new_value = value + delta
                     old = nxt.get(new_state)
                     if old is None or better(new_value, old):
                         nxt[new_state] = new_value
                         if org is not None:
-                            org[new_state] = (state, ai)
+                            org[new_state] = state
 
         nv = len(ctx.order_after)
         if validate:
@@ -266,14 +320,12 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                         f"at node {ctx.index + 1}")
         table = nxt
         if retain:
-            tables.append(table)
             origins.append(org)
         stats.append(NodeStats(ctx.index + 1, ctx.kind, ctx.vertex, nv,
                                allowed_counts[nv], len(table)))
 
     result = DpRunResult(feasible=False, stats=stats, plugin=plugin,
-                         graph=graph, npd=npd, contexts=ctxs,
-                         tables=tables, origins=origins)
+                         graph=graph, npd=npd, origins=origins)
     best_state = None
     best_final = None
     best_value = None
@@ -292,20 +344,35 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
 
 
 def reconstruct_solution(result: DpRunResult):
-    """Walk origins from the winning final state back to node 1 and hand
-    the replayed chain to the plugin's certificate builder."""
+    """Rebuild the winning solution from the retained origins.
+
+    A backward walk follows the origins from the winning final state to
+    node 1 and collects each node's state.  A forward walk then replays
+    each node with _replay() from the predecessor's value, which picks
+    the action the run took and recomputes the value; a final value
+    other than result.value means the plugin's expansion has changed
+    since the run.  The (ctx, prev, action, state) chain goes to the
+    plugin's certificate builder.
+    """
     if not result.feasible:
         raise ReconstructionUnavailableError("run was infeasible")
     if result.origins is None:
-        raise ReconstructionUnavailableError("tables were not retained")
+        raise ReconstructionUnavailableError(
+            "origins were not retained (retain=False)")
     plugin = result.plugin
+    states = [result.final_state]
+    for org in reversed(result.origins):
+        states.append(org[states[-1]])
+    states.reverse()
     chain = []
-    state = result.final_state
-    for i in range(len(result.contexts) - 1, -1, -1):
-        ctx = result.contexts[i]
-        prev_state, ai = result.origins[i][state]
-        action = plugin.set_of_actions(ctx)[ai]
-        chain.append((ctx, prev_state, action, state))
-        state = prev_state
-    chain.reverse()
+    value = plugin.initial_value()
+    for ctx, prev, state in zip(_contexts(result.graph, result.npd),
+                                states, states[1:]):
+        action, value = _replay(plugin, ctx, plugin.set_of_actions(ctx),
+                               prev, value, state)
+        chain.append((ctx, prev, action, state))
+    if value != result.value:
+        raise PluginInconsistencyError(
+            f"{plugin.name} replays the winning chain to value {value}, "
+            f"not the run's {result.value}")
     return plugin.extract_certificate(chain)

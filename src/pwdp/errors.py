@@ -45,11 +45,12 @@ class CapacityError(PwdpError):
 
 class PluginInconsistencyError(PwdpError):
     """A plugin's states disagree with its state space: the enumeration
-    repeats a state, or an expansion lands outside the legal set."""
+    repeats a state, or an expansion lands outside the legal set, or a
+    replayed expansion differs from the one the run made."""
 
 
 class ReconstructionUnavailableError(PwdpError):
-    """Solution reconstruction requested but tables were not retained."""
+    """Solution reconstruction requested but origins were not retained."""
 
 
 class NotApplicableError(PwdpError):

@@ -1,9 +1,11 @@
 """Brute-force reference solvers.
 
 Every solver here finds the exact optimum by exhaustive enumeration over
-a small instance.  None of them look at path decompositions or share any
-machinery with the main solvers; they exist to cross-check results and
-to pin expected values in tests.
+a small instance.  None of them look at path decompositions or share the
+DP machinery of the main solvers; they exist to cross-check results and
+to pin expected values in tests.  oracle_solve checks parameters by
+building the problem's plugin, as pwdp solve does, so both reject the
+same cases with the same error; the solvers below check none themselves.
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import SizeLimitError
-from .graph import Graph, PartialGrid
+from .graph import Graph, PartialGrid, grid_to_graph
+from .plugins import make_plugin
 
 MAX_N = 12
 
@@ -63,8 +66,6 @@ def oracle_chromatic(g: Graph) -> OracleResult:
 def oracle_penalty_coloring(g: Graph, C: int, mode: str = "sum") -> OracleResult:
     """Best over canonical colorings; penalty paid on monochromatic edges."""
     _check_size(g.n)
-    if mode not in ("sum", "max"):
-        raise ValueError(f"mode must be 'sum' or 'max', got {mode!r}")
     best = None
     best_col = None
     cur = [0] * (g.n + 1)
@@ -174,8 +175,6 @@ def oracle_cycle_cover(g: Graph) -> OracleResult:
 
 def oracle_k_replica(g: Graph, k: int) -> OracleResult:
     _check_size(g.n)
-    if not (1 <= k <= g.n):
-        raise ValueError(f"k must be in 1..{g.n}, got {k}")
     best = None
     best_set = None
     for sel in itertools.combinations(range(1, g.n + 1), k):
@@ -192,8 +191,6 @@ def oracle_k_replica(g: Graph, k: int) -> OracleResult:
 def oracle_max_leaf_tree(g: Graph) -> OracleResult:
     """Best spanning tree by trying all (n-1)-edge subsets."""
     _check_size(g.n)
-    if g.n < 2:
-        raise ValueError("spanning-tree objective needs n > 1")
     best = None
     best_tree = None
     for subset in itertools.combinations(g.edges, g.n - 1):
@@ -256,8 +253,6 @@ def oracle_min_maximal_matching(g: Graph) -> OracleResult:
 def oracle_avg_path(g: Graph, L: int, U: int) -> OracleResult:
     """DFS over all simple paths, tracking best average weight exactly."""
     _check_size(g.n)
-    if not (1 <= L <= U <= g.n):
-        raise ValueError(f"need 1 <= L <= U <= n, got L={L} U={U}")
     best = [None, None]
 
     def consider(path, total):
@@ -290,9 +285,6 @@ def oracle_rect_cover(grid: PartialGrid, pieces) -> OracleResult:
     """Max pieces by deciding cells row-major: skip or anchor a piece."""
     cells = grid.cells_row_major()
     _check_size(len(cells))
-    for r_p, c_p in pieces:
-        if r_p < 1 or c_p < 1:
-            raise ValueError(f"bad piece ({r_p},{c_p})")
     best = [0, []]
 
     def rec(idx, covered, skipped, placed):
@@ -334,28 +326,29 @@ def oracle_mwis(g: Graph) -> OracleResult:
     return OracleResult(True, best, best_set)
 
 
+_ORACLES = {
+    "coloring": lambda g, p: oracle_coloring(g, p.C),
+    "coloring-canonical": lambda g, p: oracle_coloring(g, p.C),
+    "penalty-coloring": lambda g, p: oracle_penalty_coloring(g, p.C, p.mode),
+    "path-cover": lambda g, p: oracle_path_cover(g),
+    "cycle-cover": lambda g, p: oracle_cycle_cover(g),
+    "k-replica": lambda g, p: oracle_k_replica(g, p.k),
+    "max-leaf-tree": lambda g, p: oracle_max_leaf_tree(g),
+    "min-maximal-matching": lambda g, p: oracle_min_maximal_matching(g),
+    "avg-path": lambda g, p: oracle_avg_path(g, p.L, p.U),
+    "rect-cover": lambda grid, p: oracle_rect_cover(grid, p.pieces),
+    "mwis": lambda g, p: oracle_mwis(g),
+}
+
+
 def oracle_solve(name: str, instance, params: Optional[dict] = None) -> OracleResult:
-    """Dispatch by plugin name; instance is a Graph (PartialGrid for rect-cover)."""
+    """Dispatch by plugin name; instance is a Graph (PartialGrid for
+    rect-cover).  make_plugin checks name and params first and raises
+    the plugin's own error, a ParameterError for a bad parameter."""
     params = params or {}
-    if name == "coloring" or name == "coloring-canonical":
-        return oracle_coloring(instance, params["C"])
-    if name == "penalty-coloring":
-        return oracle_penalty_coloring(instance, params["C"],
-                                       params.get("mode", "sum"))
-    if name == "path-cover":
-        return oracle_path_cover(instance)
-    if name == "cycle-cover":
-        return oracle_cycle_cover(instance)
-    if name == "k-replica":
-        return oracle_k_replica(instance, params["k"])
-    if name == "max-leaf-tree":
-        return oracle_max_leaf_tree(instance)
-    if name == "min-maximal-matching":
-        return oracle_min_maximal_matching(instance)
-    if name == "avg-path":
-        return oracle_avg_path(instance, params["L"], params["U"])
     if name == "rect-cover":
-        return oracle_rect_cover(instance, params["pieces"])
-    if name == "mwis":
-        return oracle_mwis(instance)
-    raise ValueError(f"unknown problem {name!r}")
+        plugin = make_plugin(name, grid_to_graph(instance),
+                             **dict(params, grid=instance))
+    else:
+        plugin = make_plugin(name, instance, **params)
+    return _ORACLES[name](instance, plugin)

@@ -26,6 +26,12 @@ returns ctx.index instead: no other node shares that key, so its nodes
 are never replayed.  run_dp(validate=True) re-expands every replayed
 state and reports a key that misses a weight.
 
+expand_state is also called again after the run: a retained run keeps
+only each state's predecessor, and reconstruction and
+DpRunResult.tables replay the predecessor's actions to recover the
+action taken and the value.  So expand_state must stay a pure function
+of the state, the node's structure, the action and the value.
+
 Plugins share one action vocabulary: every forget node offers the single
 FORGET_ACTION, and an introduce action that picks graph edges lists the
 bag positions of their far ends right after its kind, as in

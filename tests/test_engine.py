@@ -278,6 +278,18 @@ def reference_tables(plugin, graph, npd):
     return tables, origins
 
 
+def reference_certificate(plugin, graph, npd, origins, final_state):
+    """The certificate of a walk back along (state, ai) origins."""
+    chain = []
+    state = final_state
+    for ctx in reversed(list(build_contexts(graph, npd))):
+        prev, ai = origins[ctx.index][state]
+        chain.append((ctx, prev, plugin.set_of_actions(ctx)[ai], state))
+        state = prev
+    chain.reverse()
+    return plugin.extract_certificate(chain)
+
+
 def node_key(plugin, ctx):
     return (ctx.kind, ctx.pos, ctx.nbrs, len(ctx.order_before), ctx.is_last,
             tuple(plugin.set_of_actions(ctx)), plugin.value_key(ctx))
@@ -314,7 +326,10 @@ class TestMemo:
                              [(name, "sum") for name in PLUGIN_NAMES]
                              + [("penalty-coloring", "max")])
     def test_matches_reference_loop(self, name, mode):
-        grid, g = weighted_grid(3, 5, seed=len(name))
+        # no cycle cover spans the 15 cells of a bipartite 3x5 grid, so
+        # cycle-cover gets a fourth row and a certificate to compare
+        rows = 4 if name == "cycle-cover" else 3
+        grid, g = weighted_grid(rows, 5, seed=len(name))
         npd, _ = grid_sweep_decomposition(grid, transpose=False,
                                           widen=name == "rect-cover")
         plugin = make_plugin(name, g, grid=grid, mode=mode, C=3, k=4, L=2,
@@ -323,9 +338,15 @@ class TestMemo:
         tables, origins = reference_tables(plugin, g, npd)
         assert ([list(t.items()) for t in res.tables]
                 == [list(t.items()) for t in tables])
+        # the engine keeps each origin's predecessor only; the action
+        # comes back from the replay rule
         assert ([list(o.items()) for o in res.origins]
-                == [list(o.items()) for o in origins])
+                == [[(state, pred) for state, (pred, _ai) in o.items()]
+                    for o in origins])
         assert [s.filled for s in res.stats] == [len(t) for t in tables]
+        assert res.feasible
+        assert reconstruct_solution(res) == reference_certificate(
+            plugin, g, npd, origins, res.final_state)
 
     def test_under_keyed_plugin_caught(self):
         g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)],
@@ -356,6 +377,62 @@ class TestMemo:
         candidates = sum(size * len(plugin.set_of_actions(ctx))
                          for size, ctx in zip(sizes, build_contexts(g, npd)))
         assert sum(calls.values()) < candidates / 2
+
+
+class TestRetention:
+    """retain keeps one origin map per node; values are replayed."""
+
+    @pytest.mark.parametrize("name", ["path-cover", "mwis", "k-replica"])
+    def test_origin_is_a_key_of_the_map_before(self, name):
+        grid, g = weighted_grid(3, 5, seed=1)
+        npd, _ = grid_sweep_decomposition(grid)
+        plugin = make_plugin(name, g, k=4)
+        res = run_dp(plugin, g, npd, retain=True)
+        empty = plugin.empty_state()
+        assert all(pred == empty for pred in res.origins[0].values())
+        for before, org in zip(res.origins, res.origins[1:]):
+            keys = {id(state) for state in before}
+            assert all(id(pred) in keys for pred in org.values())
+
+    def test_tables_replayed_on_infeasible_run(self):
+        grid = full_grid(3, 5)
+        g = grid_to_graph(grid)
+        npd, _ = grid_sweep_decomposition(grid)
+        plugin = make_plugin("cycle-cover", g)
+        res = run_dp(plugin, g, npd, retain=True)
+        assert not res.feasible
+        tables, _origins = reference_tables(plugin, g, npd)
+        assert ([list(t.items()) for t in res.tables]
+                == [list(t.items()) for t in tables])
+        assert run_dp(plugin, g, npd).tables is None
+
+    def test_tie_replays_the_first_writers_action(self):
+        # two connect actions reach a state on this run's winning chain
+        # at the same value, and the tree edges differ between them
+        grid, g = weighted_grid(3, 4, seed=1)
+        npd, _ = grid_sweep_decomposition(grid, transpose=False)
+        plugin = make_plugin("max-leaf-tree", g)
+        res = run_dp(plugin, g, npd, retain=True)
+        _tables, origins = reference_tables(plugin, g, npd)
+        assert reconstruct_solution(res) == reference_certificate(
+            plugin, g, npd, origins, res.final_state)
+
+    def test_changed_expansion_caught_on_replay(self, monkeypatch):
+        g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)],
+                  vertex_weights={1: 1, 2: 5, 3: 1, 4: 7, 5: 2})
+        npd, _ = exact_pathwidth_decomposition(g)
+        plugin = MwisProblem(g)
+        res = run_dp(plugin, g, npd, retain=True)
+        assert reconstruct_solution(res) == [2, 4]
+        expand = plugin.expand_state
+
+        def off_by_one(state, ctx, action, value):
+            new_state, new_value, ok = expand(state, ctx, action, value)
+            return new_state, new_value + 1, ok
+
+        monkeypatch.setattr(plugin, "expand_state", off_by_one)
+        with pytest.raises(PluginInconsistencyError, match="replays"):
+            reconstruct_solution(res)
 
 
 class RepeatingEnumeration(ProblemDefinition):

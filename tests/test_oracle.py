@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pwdp.errors import SizeLimitError
+from pwdp.errors import NotApplicableError, ParameterError, SizeLimitError
 from pwdp.graph import Graph, PartialGrid
 from pwdp.oracle import (
     oracle_avg_path, oracle_chromatic, oracle_coloring, oracle_cycle_cover,
@@ -214,3 +214,27 @@ def test_dispatcher():
                         {"pieces": [(2, 2)]}).objective == 1
     with pytest.raises(ValueError):
         oracle_solve("nope", k3)
+
+
+@pytest.mark.parametrize("name, instance, params, error", [
+    ("coloring", path_graph(2), {"C": 0}, ParameterError),
+    ("coloring-canonical", path_graph(2), {}, ParameterError),
+    ("penalty-coloring", path_graph(2), {"C": 2, "mode": "avg"},
+     ParameterError),
+    ("penalty-coloring", path_graph(2, edge_penalties={(1, 2): -3}),
+     {"C": 1, "mode": "max"}, ParameterError),
+    ("k-replica", path_graph(3), {"k": 0}, ParameterError),
+    ("k-replica", path_graph(3), {"k": 4}, ParameterError),
+    ("avg-path", path_graph(3), {"L": 3, "U": 2}, ParameterError),
+    ("avg-path", path_graph(3), {"L": 1, "U": 4}, ParameterError),
+    ("max-leaf-tree", Graph(1, []), {}, NotApplicableError),
+    ("rect-cover", full_grid(2, 3), {"pieces": []}, ParameterError),
+    ("rect-cover", full_grid(2, 3), {"pieces": [(0, 1)]}, ParameterError),
+    ("rect-cover", full_grid(2, 3), {"pieces": [(9, 9)]}, ParameterError),
+], ids=["C0", "missing-C", "bad-mode", "max-mode-negative-penalty", "k0",
+        "k-above-n", "L-above-U", "U-above-n", "one-vertex-tree",
+        "no-pieces", "empty-piece", "wide-piece"])
+def test_dispatcher_rejects_what_the_plugin_rejects(name, instance, params,
+                                                    error):
+    with pytest.raises(error):
+        oracle_solve(name, instance, params)
