@@ -249,8 +249,9 @@ def _cmd_states(args):
         raise PwdpError("--nv must be at least 1")
     n = args.nv
     if args.problem == "rect-cover":
-        cells = frozenset((r, c) for r in range(n) for c in range(n))
-        grid = PartialGrid(n, n, cells, frozenset())
+        # the plugin checks piece widths against grid.cols and counts
+        # states from the pieces alone, so one row of n cells will do
+        grid = PartialGrid(1, n, frozenset((0, c) for c in range(n)))
         params = _collect_params(args, grid)
         plugin = make_plugin(args.problem, grid_to_graph(grid), **params)
     else:

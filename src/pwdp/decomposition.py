@@ -7,8 +7,7 @@ introduce/forget events, which is what the solver consumes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DecompositionError, GraphFormatError, SizeLimitError
 from .graph import Graph, PartialGrid, grid_to_graph
@@ -85,8 +84,7 @@ INTRODUCE = "introduce"
 FORGET = "forget"
 
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
     kind: str            # INTRODUCE or FORGET
     vertex: int
     order: Tuple[int, ...]  # bag content after the event, introduction order

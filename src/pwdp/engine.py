@@ -7,16 +7,18 @@ overwrite rule is: write when the slot is empty, else only when the new
 value is strictly better.  Ties keep the first writer, which fixes the
 reconstruction origin deterministically.
 
-With retain, each node keeps only its origin map, from each state to the
-predecessor state that last wrote it.  Values are not kept: _replay()
-walks the origins forward again and recomputes them, for reconstruction
-and for DpRunResult.tables.  Node contexts are made per node as each
-walk reaches them, never held as a list.
-
 Nodes that share a key (node shape, action list and the plugin's
 value_key) expand a state to the same next states with the same value
-changes, so each state's moves are computed once per key and replayed
-at the key's later nodes.
+changes.  One pass over the node contexts gives each node its key id;
+from then on the engine works from those ids.  The DP loop computes
+each state's moves once per key, replays them at the key's later nodes,
+and makes a node's context only when it has to expand something.
+
+With retain, each node keeps only its origin map, from each state to the
+predecessor state that last wrote it, and the run keeps its key ids and
+each key's actions.  Values are not kept: _replayer() walks the origins
+forward again and recomputes them, for reconstruction and for
+DpRunResult.tables, expanding each (key, predecessor) pair once.
 """
 from __future__ import annotations
 
@@ -63,21 +65,25 @@ def build_contexts(graph: Graph, npd: NicePathDecomposition
 
 
 def _contexts(graph: Graph, npd: NicePathDecomposition) -> Iterator[NodeCtx]:
-    """The contexts of a decomposition already validated against graph.
+    """The contexts of a decomposition already validated against graph."""
+    return (_context(graph, npd, i) for i in range(len(npd.nodes)))
 
-    A vertex is not its own neighbor, so at a forget node nbrs leaves
-    out pos by itself.
+
+def _context(graph: Graph, npd: NicePathDecomposition, i: int) -> NodeCtx:
+    """The context of node i (0-based) of a decomposition already
+    validated against graph.
+
+    The final bag is empty, so nodes[i - 1].order is the bag before node
+    i at i = 0 too.  A vertex is not its own neighbor, so at a forget
+    node nbrs leaves out pos by itself.
     """
-    neighbors = graph.neighbors
-    prev: Tuple[int, ...] = ()
-    last = len(npd.nodes) - 1
-    for i, node in enumerate(npd.nodes):
-        v = node.vertex
-        near = neighbors(v)
-        nbrs = tuple([j for j, u in enumerate(prev) if u in near])
-        pos = None if node.kind == INTRODUCE else prev.index(v)
-        yield NodeCtx(i, node.kind, v, prev, node.order, pos, nbrs, i == last)
-        prev = node.order
+    nodes = npd.nodes
+    kind, v, order = nodes[i]
+    prev = nodes[i - 1].order
+    near = graph.neighbors(v)
+    nbrs = tuple([j for j, u in enumerate(prev) if u in near])
+    pos = None if kind == INTRODUCE else prev.index(v)
+    return NodeCtx(i, kind, v, prev, order, pos, nbrs, i == len(nodes) - 1)
 
 
 def generate_states(plugin, nv: int) -> frozenset:
@@ -137,7 +143,9 @@ class DpRunResult:
 
     origins, kept only with retain, holds one map per node from each
     state of its table to the predecessor state that wrote it, the
-    predecessor being a key object of the map before.  The tables
+    predecessor being a key object of the map before.  A retained run
+    also keeps node_keys, each node's key id, and key_actions, each
+    key's action tuple, so that replays need no key pass.  The tables
     themselves are not kept; the tables property replays them.
     """
     feasible: bool
@@ -149,6 +157,8 @@ class DpRunResult:
     graph: object = None
     npd: object = None
     origins: Optional[list] = None
+    node_keys: Optional[list] = None
+    key_actions: Optional[list] = None
     certificate: object = None    # filled by the solver facade when retained
 
     @property
@@ -158,40 +168,67 @@ class DpRunResult:
         order are the origin maps', which are the tables' own."""
         if self.origins is None:
             return None
+        replay = _replayer(self)
         plugin = self.plugin
         table = {plugin.empty_state(): plugin.initial_value()}
         tables = []
-        for ctx, org in zip(_contexts(self.graph, self.npd), self.origins):
-            actions = plugin.set_of_actions(ctx)
-            table = {state: _replay(plugin, ctx, actions, pred, table[pred],
-                                   state)[1]
+        for i, org in enumerate(self.origins):
+            table = {state: replay(i, pred, table[pred], state)[1]
                      for state, pred in org.items()}
             tables.append(table)
         return tables
 
 
-def _replay(plugin, ctx, actions, pred, value, state):
-    """(action, new value) for the first action from pred, in action
-    order, whose normalized next state is state and whose new value is
-    best under plugin.better.
+def _replayer(result: DpRunResult):
+    """replay(i, pred, value, state, ctx=None) -> (action, new value) for
+    the first action from pred at node i, in action order, whose
+    normalized next state is state and whose new value is best under
+    plugin.better.
 
     When pred is state's origin and value is pred's table value, this is
     the action that wrote state's final table entry and that entry's
     value: the first writer among the candidates that reached the best
-    value, since a later equal candidate never overwrites.
+    value, since a later equal candidate never overwrites.  Each
+    (key, pred) pair is expanded once, on the node context given or
+    made then, into (action, normalized next, value change) moves that
+    the key's other nodes reuse, as the run's memo does (its moves leave
+    the action out, which keeps the larger memo small); a key that
+    names its node (penalty-coloring's max mode) shares no moves.
     """
-    best = None
-    for action in actions:
-        new_state, new_value, ok = plugin.expand_state(pred, ctx, action,
-                                                       value)
-        if (ok and (best is None or plugin.better(new_value, best[1]))
-                and plugin.normalize(new_state) == state):
-            best = (action, new_value)
-    if best is None:
-        raise PluginInconsistencyError(
-            f"{plugin.name} no longer reaches state {state} from its "
-            f"origin {pred} at node {ctx.index + 1}")
-    return best
+    plugin = result.plugin
+    graph, npd = result.graph, result.npd
+    node_keys, key_actions = result.node_keys, result.key_actions
+    expand_state = plugin.expand_state
+    normalize = plugin.normalize
+    better = plugin.better
+    cache = {}
+
+    def replay(i, pred, value, state, ctx=None):
+        k = node_keys[i]
+        moves = cache.get((k, pred))
+        if moves is None:
+            if ctx is None:
+                ctx = _context(graph, npd, i)
+            moves = cache[k, pred] = []
+            for action in key_actions[k]:
+                new_state, new_value, ok = expand_state(pred, ctx, action,
+                                                        value)
+                if ok:
+                    moves.append((action, normalize(new_state),
+                                  new_value - value))
+        best = None
+        for action, new_state, delta in moves:
+            if new_state == state:
+                new_value = value + delta
+                if best is None or better(new_value, best[1]):
+                    best = (action, new_value)
+        if best is None:
+            raise PluginInconsistencyError(
+                f"{plugin.name} no longer reaches state {state} from its "
+                f"origin {pred} at node {i + 1}")
+        return best
+
+    return replay
 
 
 def _moves(expand_state, normalize, state, ctx, actions, value):
@@ -213,10 +250,13 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
 
     Each node expands every predecessor state under every action in
     order, normalizes the result and merges it into the next table.  A
-    node whose key recurs at a later node keeps each state's moves
-    (normalized next state, value change) in a memo; the
-    later nodes replay them without calling expand_state or normalize,
-    and the memo is dropped after the key's last node.
+    key pass over the node contexts first gives each node its key id.
+    A node whose key recurs at a later node keeps each state's moves
+    (normalized next state, value change) in a memo; the later nodes
+    replay them without calling expand_state or normalize, and the memo
+    is dropped after the key's last node.  The loop walks the key ids
+    and makes a node's context only when it expands: at a key that
+    occurs once, on a memo miss, or under validate.
     allowed maps bag size to a pruned state set (Catalan pruning); its
     sizes are the reported per-node bound and feed the capacity check.
     With validate, every expansion must land in allowed when given, and
@@ -224,10 +264,9 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     state is expanded afresh and must give the same moves, which catches
     a value_key that leaves out a weight.  With retain, each node's
     origin map (state to the predecessor state that wrote it) is kept
-    for reconstruction, and nothing else: no table and no context.
-    Contexts are made per node, once for the key pass and once for the
-    loop.  The plugin must be bound to graph itself, since it reads
-    weights from there.
+    for reconstruction, with the node key ids and each key's actions,
+    and nothing else: no table and no context.  The plugin must be bound
+    to graph itself, since it reads weights from there.
     """
     if plugin.graph is not graph:
         raise NotApplicableError(
@@ -268,7 +307,7 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     origins = [] if retain else None
     stats = []
 
-    for ctx, k in zip(_contexts(graph, npd), node_keys):
+    for i, (k, node) in enumerate(zip(node_keys, npd.nodes)):
         actions = key_actions[k]
         left[k] -= 1
         memo = memos.setdefault(k, {}) if left[k] else memos.pop(k, None)
@@ -276,6 +315,7 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
         org = {} if retain else None
         if memo is None:
             # a key no later node carries: expand straight into nxt
+            ctx = _context(graph, npd, i)
             for state, value in table.items():
                 for action in actions:
                     new_state, new_value, ok = expand_state(state, ctx, action,
@@ -289,16 +329,19 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                         if org is not None:
                             org[new_state] = state
         else:
+            ctx = _context(graph, npd, i) if validate else None
             for state, value in table.items():
                 moves = memo.get(state)
                 if moves is None:
+                    if ctx is None:
+                        ctx = _context(graph, npd, i)
                     moves = memo[state] = _moves(expand_state, normalize,
                                                  state, ctx, actions, value)
                 elif validate and moves != _moves(expand_state, normalize,
                                                   state, ctx, actions, value):
                     raise PluginInconsistencyError(
                         f"{plugin.name} expands state {state} at node "
-                        f"{ctx.index + 1} unlike an earlier node with the "
+                        f"{i + 1} unlike an earlier node with the "
                         f"same key: value_key misses a weight the value "
                         f"change reads")
                 for new_state, delta in moves:
@@ -309,7 +352,7 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                         if org is not None:
                             org[new_state] = state
 
-        nv = len(ctx.order_after)
+        nv = len(node.order)
         if validate:
             legal = allowed[nv] if nv in allowed else generate_states(plugin, nv)
             for new_state in nxt:
@@ -317,15 +360,18 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                     raise PluginInconsistencyError(
                         f"expansion produced state {new_state} outside the "
                         f"{'allowed' if nv in allowed else 'canonical'} set "
-                        f"at node {ctx.index + 1}")
+                        f"at node {i + 1}")
         table = nxt
         if retain:
             origins.append(org)
-        stats.append(NodeStats(ctx.index + 1, ctx.kind, ctx.vertex, nv,
+        stats.append(NodeStats(i + 1, node.kind, node.vertex, nv,
                                allowed_counts[nv], len(table)))
 
     result = DpRunResult(feasible=False, stats=stats, plugin=plugin,
                          graph=graph, npd=npd, origins=origins)
+    if retain:
+        result.node_keys = node_keys
+        result.key_actions = key_actions
     best_state = None
     best_final = None
     best_value = None
@@ -347,12 +393,13 @@ def reconstruct_solution(result: DpRunResult):
     """Rebuild the winning solution from the retained origins.
 
     A backward walk follows the origins from the winning final state to
-    node 1 and collects each node's state.  A forward walk then replays
-    each node with _replay() from the predecessor's value, which picks
-    the action the run took and recomputes the value; a final value
-    other than result.value means the plugin's expansion has changed
-    since the run.  The (ctx, prev, action, state) chain goes to the
-    plugin's certificate builder.
+    node 1 and collects each node's state.  A forward walk then makes
+    each node's context and replays the node from the predecessor's
+    value (_replayer), which picks the action the run took and
+    recomputes the value; a final value other than result.value means
+    the plugin's expansion has changed since the run.  The
+    (ctx, prev, action, state) chain goes to the plugin's certificate
+    builder.
     """
     if not result.feasible:
         raise ReconstructionUnavailableError("run was infeasible")
@@ -364,12 +411,12 @@ def reconstruct_solution(result: DpRunResult):
     for org in reversed(result.origins):
         states.append(org[states[-1]])
     states.reverse()
+    replay = _replayer(result)
     chain = []
     value = plugin.initial_value()
     for ctx, prev, state in zip(_contexts(result.graph, result.npd),
                                 states, states[1:]):
-        action, value = _replay(plugin, ctx, plugin.set_of_actions(ctx),
-                               prev, value, state)
+        action, value = replay(ctx.index, prev, value, state, ctx)
         chain.append((ctx, prev, action, state))
     if value != result.value:
         raise PluginInconsistencyError(

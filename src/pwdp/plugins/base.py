@@ -29,8 +29,11 @@ state and reports a key that misses a weight.
 expand_state is also called again after the run: a retained run keeps
 only each state's predecessor, and reconstruction and
 DpRunResult.tables replay the predecessor's actions to recover the
-action taken and the value.  So expand_state must stay a pure function
-of the state, the node's structure, the action and the value.
+action taken and the value.  The replay expands each (node key,
+predecessor) pair once and reuses its value changes at the key's other
+nodes, as the run does, so the same value_key rule holds there, and a
+key of ctx.index shares nothing.  So expand_state must stay a pure
+function of the state, the node's structure, the action and the value.
 
 Plugins share one action vocabulary: every forget node offers the single
 FORGET_ACTION, and an introduce action that picks graph edges lists the

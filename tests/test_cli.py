@@ -1,5 +1,11 @@
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import pytest
 
+import pwdp.cli
 from pwdp.cli import main
 
 P4 = "graph 4 3\ne 1 2\ne 2 3\ne 3 4\n"
@@ -109,6 +115,28 @@ def test_states_naive_count(capsys):
     assert "nv 4 states 81" in out.splitlines()
 
 
+def test_states_rect_cover_builds_one_row(monkeypatch, capsys):
+    # the plugin reads only the grid's width, so a bag of n cells must
+    # not cost an n x n grid
+    built = []
+    grid_class = pwdp.cli.PartialGrid
+
+    def recording(rows, cols, *args):
+        built.append((rows, cols))
+        return grid_class(rows, cols, *args)
+
+    monkeypatch.setattr(pwdp.cli, "PartialGrid", recording)
+    code, out, _ = run(capsys, "states", "rect-cover", "--nv", "5",
+                       "--piece", "2x3")
+    assert code == 0
+    assert out.splitlines()[-1] == "nv 5 states 243"
+    assert built == [(1, 5)]
+    code, _, err = run(capsys, "states", "rect-cover", "--nv", "2",
+                       "--piece", "1x3")
+    assert code == 1
+    assert "wider than the grid" in err
+
+
 def test_validate_decomp(tmp_path, capsys):
     g = write(tmp_path, "p4.g", P4)
     d = write(tmp_path, "p4.pd", P4_PD)
@@ -216,3 +244,38 @@ def test_dump_tables(tmp_path, capsys):
     lines = out.splitlines()
     assert any(l.startswith("node 1 introduce") for l in lines)
     assert any(l.startswith("state ") and "value" in l for l in lines)
+
+
+def readme_quick_start():
+    """The Python and the shell block of the README's quick start."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    python, shell = re.findall(r"```(?:python)?\n(.*?)```", section, re.S)
+    return python, shell
+
+
+def test_readme_python_quick_start():
+    python, _shell = readme_quick_start()
+    expected = [line.split("# ", 1)[1] for line in python.splitlines()
+                if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(python, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
+
+
+def test_readme_shell_quick_start(tmp_path, capsys):
+    _python, shell = readme_quick_start()
+    commands = re.split(r"^\$ ", shell, flags=re.M)[1:]
+    cat, solve = (c.splitlines() for c in commands)
+    assert cat[0] == "cat p4.g"
+    path = write(tmp_path, "p4.g", "\n".join(cat[1:]) + "\n")
+    argv = solve[0].split()
+    assert argv[0] == "pwdp"
+    argv = [path if a == "p4.g" else a for a in argv[1:]]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    documented = [line for line in solve[1:] if not line.startswith("time ")]
+    printed = out.splitlines()
+    assert printed[-1].startswith("time ")
+    assert printed[:-1] == documented

@@ -8,7 +8,7 @@ from pwdp.decomposition import (
     exact_pathwidth_decomposition, grid_sweep_decomposition,
 )
 from pwdp.engine import (
-    build_contexts, catalan_allowed, catalan_prune, crosses,
+    NodeCtx, build_contexts, catalan_allowed, catalan_prune, crosses,
     generate_states, reconstruct_solution, run_dp,
 )
 from pwdp.errors import (
@@ -433,6 +433,62 @@ class TestRetention:
         monkeypatch.setattr(plugin, "expand_state", off_by_one)
         with pytest.raises(PluginInconsistencyError, match="replays"):
             reconstruct_solution(res)
+
+
+class TestKeyReplay:
+    """After the key pass the engine works from node key ids: the loop
+    makes a context only where it expands, and a replay expands each
+    (key, predecessor) pair once."""
+
+    @staticmethod
+    def long_path(name):
+        grid = full_grid(1, 40)
+        g = grid_to_graph(grid)
+        npd, _ = grid_sweep_decomposition(grid)
+        return make_plugin(name, g, C=3), g, npd
+
+    @pytest.mark.parametrize("name", ["mwis", "coloring"])
+    def test_loop_makes_no_context_where_every_state_replays(
+            self, name, monkeypatch):
+        plugin, g, npd = self.long_path(name)
+        expanded = Counter()
+        expand = plugin.expand_state
+
+        def counted(state, ctx, action, value):
+            expanded[ctx.index] += 1
+            return expand(state, ctx, action, value)
+
+        made = Counter()
+
+        def recording(*fields):
+            made[fields[0]] += 1
+            return NodeCtx(*fields)
+
+        plugin.expand_state = counted
+        monkeypatch.setattr("pwdp.engine.NodeCtx", recording)
+        run_dp(plugin, g, npd, retain=True)
+        # the key pass makes every context once, the loop once more at
+        # each node that expands something
+        replayed = [i for i in range(len(npd.nodes)) if not expanded[i]]
+        assert len(replayed) > len(npd.nodes) / 2
+        assert all(made[i] == 1 for i in replayed)
+        assert all(made[i] == 2 for i in expanded)
+
+    @pytest.mark.parametrize("name", ["mwis", "coloring"])
+    def test_reconstruction_expands_each_key_pred_action_once(self, name):
+        plugin, g, npd = self.long_path(name)
+        res = run_dp(plugin, g, npd, retain=True)
+        calls = Counter()
+        expand = plugin.expand_state
+
+        def counted(state, ctx, action, value):
+            calls[node_key(plugin, ctx), state, action] += 1
+            return expand(state, ctx, action, value)
+
+        plugin.expand_state = counted
+        ok, _objective = plugin.check_certificate(reconstruct_solution(res))
+        assert ok
+        assert calls and max(calls.values()) == 1
 
 
 class RepeatingEnumeration(ProblemDefinition):
