@@ -8,6 +8,7 @@ optional `certificate` block, a `stats` summary, and the wall time.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from fractions import Fraction
@@ -264,6 +265,19 @@ def _cmd_states(args):
 
 
 def main(argv=None):
+    """Parse argv (sys.argv[1:] when None), run the command and return
+    its exit code.
+
+    The command runs with the cyclic garbage collector paused: a solve
+    allocates a large heap of tuples, dicts and per-node records that
+    holds no reference cycles, so refcounting frees all of it, while
+    the collector would walk it over and over.  The collector is turned
+    back on afterwards if it was on before, however the command ends.
+    Argument parsing, and the usage errors that exit through SystemExit,
+    stay outside the pause.  The library (run_dp, pwdp.solve) leaves the
+    collector alone, since process-wide state belongs to the program
+    that owns the process.
+    """
     args = build_parser().parse_args(argv)
     handlers = {
         "solve": _cmd_solve,
@@ -272,11 +286,16 @@ def main(argv=None):
         "nicify": _cmd_nicify,
         "states": _cmd_states,
     }
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.command](args)
     except (PwdpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

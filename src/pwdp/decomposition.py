@@ -229,7 +229,8 @@ def _sweep_nice(order_ids: Sequence[int], last_pos) -> NicePathDecomposition:
     """Build events from a vertex order and a forget schedule.
 
     last_pos[i] is the sweep position after whose introduce vertex
-    order_ids[i] may be forgotten.
+    order_ids[i] may be forgotten.  Vertices leaving at one position go
+    in ascending i, the order by_pos lists them in.
     """
     by_pos = {}
     for i, lp in enumerate(last_pos):
@@ -239,7 +240,7 @@ def _sweep_nice(order_ids: Sequence[int], last_pos) -> NicePathDecomposition:
     for i, vid in enumerate(order_ids):
         order.append(vid)
         nodes.append(NiceNode(INTRODUCE, vid, tuple(order)))
-        for k in sorted(by_pos.get(i, [])):
+        for k in by_pos.get(i, ()):
             order.remove(order_ids[k])
             nodes.append(NiceNode(FORGET, order_ids[k], tuple(order)))
     return NicePathDecomposition(nodes)

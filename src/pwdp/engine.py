@@ -9,15 +9,17 @@ reconstruction origin deterministically.
 
 Nodes that share a key (node shape, action list and the plugin's
 value_key) expand a state to the same next states with the same value
-changes.  One pass over the node contexts gives each node its key id;
-from then on the engine works from those ids.  The DP loop computes
-each state's moves once per key, replays them at the key's later nodes,
-and makes a node's context only when it has to expand something.
+changes.  One pass over the graph-built node contexts gives each node
+its key id; from then on the engine works from those ids and never
+reads the graph's adjacency again.  The DP loop computes each state's
+moves once per key, replays them at the key's later nodes, and remakes
+a node's context from its key and bags (_key_context) only when it has
+to expand something.
 
 With retain, each node keeps only its origin map, from each state to the
 predecessor state that last wrote it, and the run keeps its key ids and
-each key's actions.  Values are not kept: _replayer() walks the origins
-forward again and recomputes them, for reconstruction and for
+key tuples.  Values are not kept: _replayer() walks the origins forward
+again and recomputes them, for reconstruction and for
 DpRunResult.tables, expanding each (key, predecessor) pair once.
 """
 from __future__ import annotations
@@ -59,13 +61,8 @@ def build_contexts(graph: Graph, npd: NicePathDecomposition
                    ) -> Iterator[NodeCtx]:
     """Check now, in O(n + m), that npd covers every vertex and edge of
     graph (npd.validate), then return a lazy iterator that makes one
-    context per node as the walk reaches it."""
+    context per node, from the graph, as the walk reaches it."""
     npd.validate(graph)
-    return _contexts(graph, npd)
-
-
-def _contexts(graph: Graph, npd: NicePathDecomposition) -> Iterator[NodeCtx]:
-    """The contexts of a decomposition already validated against graph."""
     return (_context(graph, npd, i) for i in range(len(npd.nodes)))
 
 
@@ -84,6 +81,16 @@ def _context(graph: Graph, npd: NicePathDecomposition, i: int) -> NodeCtx:
     nbrs = tuple([j for j, u in enumerate(prev) if u in near])
     pos = None if kind == INTRODUCE else prev.index(v)
     return NodeCtx(i, kind, v, prev, order, pos, nbrs, i == len(nodes) - 1)
+
+
+def _key_context(nodes, i: int, key: tuple) -> NodeCtx:
+    """Node i's context remade from its node key, (kind, pos, nbrs, nv,
+    is_last, actions, value_key), and the bags around it: equal to
+    _context's, without reading the graph."""
+    kind, pos, nbrs, _nv, is_last = key[:5]
+    node = nodes[i]
+    return NodeCtx(i, kind, node.vertex, nodes[i - 1].order, node.order,
+                   pos, nbrs, is_last)
 
 
 def generate_states(plugin, nv: int) -> frozenset:
@@ -144,9 +151,10 @@ class DpRunResult:
     origins, kept only with retain, holds one map per node from each
     state of its table to the predecessor state that wrote it, the
     predecessor being a key object of the map before.  A retained run
-    also keeps node_keys, each node's key id, and key_actions, each
-    key's action tuple, so that replays need no key pass.  The tables
-    themselves are not kept; the tables property replays them.
+    also keeps node_keys, each node's key id, and keys, the key tuples
+    by id (keys[k][5] is the action tuple), so that replays need no key
+    pass and remake contexts without the graph.  The tables themselves
+    are not kept; the tables property replays them.
     """
     feasible: bool
     value: object = None          # raw table value of the winning state
@@ -158,7 +166,7 @@ class DpRunResult:
     npd: object = None
     origins: Optional[list] = None
     node_keys: Optional[list] = None
-    key_actions: Optional[list] = None
+    keys: Optional[list] = None
     certificate: object = None    # filled by the solver facade when retained
 
     @property
@@ -190,14 +198,15 @@ def _replayer(result: DpRunResult):
     value: the first writer among the candidates that reached the best
     value, since a later equal candidate never overwrites.  Each
     (key, pred) pair is expanded once, on the node context given or
-    made then, into (action, normalized next, value change) moves that
-    the key's other nodes reuse, as the run's memo does (its moves leave
-    the action out, which keeps the larger memo small); a key that
-    names its node (penalty-coloring's max mode) shares no moves.
+    remade then from the node key (_key_context; the graph is not
+    read), into (action, normalized next, value change) moves that the
+    key's other nodes reuse, as the run's memo does (its moves leave the
+    action out, which keeps the larger memo small); a key that names its
+    node (penalty-coloring's max mode) shares no moves.
     """
     plugin = result.plugin
-    graph, npd = result.graph, result.npd
-    node_keys, key_actions = result.node_keys, result.key_actions
+    nodes = result.npd.nodes
+    node_keys, keys = result.node_keys, result.keys
     expand_state = plugin.expand_state
     normalize = plugin.normalize
     better = plugin.better
@@ -208,9 +217,9 @@ def _replayer(result: DpRunResult):
         moves = cache.get((k, pred))
         if moves is None:
             if ctx is None:
-                ctx = _context(graph, npd, i)
+                ctx = _key_context(nodes, i, keys[k])
             moves = cache[k, pred] = []
-            for action in key_actions[k]:
+            for action in keys[k][5]:
                 new_state, new_value, ok = expand_state(pred, ctx, action,
                                                         value)
                 if ok:
@@ -250,13 +259,14 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
 
     Each node expands every predecessor state under every action in
     order, normalizes the result and merges it into the next table.  A
-    key pass over the node contexts first gives each node its key id.
-    A node whose key recurs at a later node keeps each state's moves
-    (normalized next state, value change) in a memo; the later nodes
-    replay them without calling expand_state or normalize, and the memo
-    is dropped after the key's last node.  The loop walks the key ids
-    and makes a node's context only when it expands: at a key that
-    occurs once, on a memo miss, or under validate.
+    key pass over the graph-built node contexts first gives each node
+    its key id.  A node whose key recurs at a later node keeps each
+    state's moves (normalized next state, value change) in a memo, made
+    at the key's first node; the later nodes replay them without calling
+    expand_state or normalize, and the memo is dropped after the key's
+    last node.  The loop walks the key ids and remakes a node's context
+    from its key only when it expands: at a key that occurs once, on a
+    memo miss, or under validate.
     allowed maps bag size to a pruned state set (Catalan pruning); its
     sizes are the reported per-node bound and feed the capacity check.
     With validate, every expansion must land in allowed when given, and
@@ -264,8 +274,8 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     state is expanded afresh and must give the same moves, which catches
     a value_key that leaves out a weight.  With retain, each node's
     origin map (state to the predecessor state that wrote it) is kept
-    for reconstruction, with the node key ids and each key's actions,
-    and nothing else: no table and no context.  The plugin must be bound
+    for reconstruction, with the node key ids and the key tuples, and
+    nothing else: no table and no context.  The plugin must be bound
     to graph itself, since it reads weights from there.
     """
     if plugin.graph is not graph:
@@ -294,8 +304,8 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
         key = (ctx.kind, ctx.pos, ctx.nbrs, len(ctx.order_before),
                ctx.is_last, actions, plugin.value_key(ctx))
         node_keys.append(key_ids.setdefault(key, len(key_ids)))
-    key_actions = [key[5] for key in key_ids]
-    left = [0] * len(key_ids)
+    keys = list(key_ids)
+    left = [0] * len(keys)
     for k in node_keys:
         left[k] += 1
     memos = {}
@@ -306,16 +316,23 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     table = {plugin.empty_state(): plugin.initial_value()}
     origins = [] if retain else None
     stats = []
+    nodes = npd.nodes
 
-    for i, (k, node) in enumerate(zip(node_keys, npd.nodes)):
-        actions = key_actions[k]
+    for i, (k, node) in enumerate(zip(node_keys, nodes)):
+        key = keys[k]
+        actions = key[5]
         left[k] -= 1
-        memo = memos.setdefault(k, {}) if left[k] else memos.pop(k, None)
+        if left[k]:
+            memo = memos.get(k)
+            if memo is None:
+                memo = memos[k] = {}
+        else:
+            memo = memos.pop(k, None)
         nxt = {}
         org = {} if retain else None
         if memo is None:
             # a key no later node carries: expand straight into nxt
-            ctx = _context(graph, npd, i)
+            ctx = _key_context(nodes, i, key)
             for state, value in table.items():
                 for action in actions:
                     new_state, new_value, ok = expand_state(state, ctx, action,
@@ -329,12 +346,12 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                         if org is not None:
                             org[new_state] = state
         else:
-            ctx = _context(graph, npd, i) if validate else None
+            ctx = _key_context(nodes, i, key) if validate else None
             for state, value in table.items():
                 moves = memo.get(state)
                 if moves is None:
                     if ctx is None:
-                        ctx = _context(graph, npd, i)
+                        ctx = _key_context(nodes, i, key)
                     moves = memo[state] = _moves(expand_state, normalize,
                                                  state, ctx, actions, value)
                 elif validate and moves != _moves(expand_state, normalize,
@@ -371,7 +388,7 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                          graph=graph, npd=npd, origins=origins)
     if retain:
         result.node_keys = node_keys
-        result.key_actions = key_actions
+        result.keys = keys
     best_state = None
     best_final = None
     best_value = None
@@ -393,13 +410,13 @@ def reconstruct_solution(result: DpRunResult):
     """Rebuild the winning solution from the retained origins.
 
     A backward walk follows the origins from the winning final state to
-    node 1 and collects each node's state.  A forward walk then makes
-    each node's context and replays the node from the predecessor's
-    value (_replayer), which picks the action the run took and
-    recomputes the value; a final value other than result.value means
-    the plugin's expansion has changed since the run.  The
-    (ctx, prev, action, state) chain goes to the plugin's certificate
-    builder.
+    node 1 and collects each node's state.  A forward walk then remakes
+    each node's context from its node key, without reading the graph,
+    and replays the node from the predecessor's value (_replayer), which
+    picks the action the run took and recomputes the value; a final
+    value other than result.value means the plugin's expansion has
+    changed since the run.  The (ctx, prev, action, state) chain goes to
+    the plugin's certificate builder.
     """
     if not result.feasible:
         raise ReconstructionUnavailableError("run was infeasible")
@@ -412,11 +429,13 @@ def reconstruct_solution(result: DpRunResult):
         states.append(org[states[-1]])
     states.reverse()
     replay = _replayer(result)
+    nodes, keys = result.npd.nodes, result.keys
     chain = []
     value = plugin.initial_value()
-    for ctx, prev, state in zip(_contexts(result.graph, result.npd),
-                                states, states[1:]):
-        action, value = replay(ctx.index, prev, value, state, ctx)
+    for i, (k, prev, state) in enumerate(zip(result.node_keys, states,
+                                             states[1:])):
+        ctx = _key_context(nodes, i, keys[k])
+        action, value = replay(i, prev, value, state, ctx)
         chain.append((ctx, prev, action, state))
     if value != result.value:
         raise PluginInconsistencyError(

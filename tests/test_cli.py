@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import re
 from pathlib import Path
@@ -244,6 +245,56 @@ def test_dump_tables(tmp_path, capsys):
     lines = out.splitlines()
     assert any(l.startswith("node 1 introduce") for l in lines)
     assert any(l.startswith("state ") and "value" in l for l in lines)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """The cyclic collector on or off as a caller left it; restored after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_solve_runs_with_the_collector_paused(collector, tmp_path, capsys,
+                                              monkeypatch):
+    seen = []
+    run_dp = pwdp.cli.run_dp
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return run_dp(*args, **kwargs)
+
+    monkeypatch.setattr(pwdp.cli, "run_dp", recording)
+    g = write(tmp_path, "p4.g", P4)
+    code, _, _ = run(capsys, "solve", "path-cover", "--graph", g)
+    assert code == 0
+    assert seen == [False]
+    assert gc.isenabled() == collector
+
+
+def crashing_handler(args):
+    raise RuntimeError("handler bug")
+
+
+@pytest.mark.parametrize("case", ["ok", "infeasible", "pwdp-error",
+                                  "unexpected-exception", "usage-error"])
+def test_main_restores_the_callers_collector(collector, case, tmp_path,
+                                             capsys, monkeypatch):
+    k3 = write(tmp_path, "k3.g", K3)
+    colors = {"infeasible": "2", "pwdp-error": "0"}.get(case, "3")
+    argv = ["solve", "coloring", "--graph", k3, "-C", colors]
+    if case == "unexpected-exception":
+        monkeypatch.setattr(pwdp.cli, "_cmd_solve", crashing_handler)
+        with pytest.raises(RuntimeError, match="handler bug"):
+            main(argv)
+    elif case == "usage-error":
+        with pytest.raises(SystemExit):
+            main(argv + ["--no-such-option"])
+    else:
+        want = {"ok": 0, "infeasible": 2, "pwdp-error": 1}[case]
+        assert run(capsys, *argv)[0] == want
+    assert gc.isenabled() == collector
 
 
 def readme_quick_start():

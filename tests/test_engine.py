@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -8,8 +9,8 @@ from pwdp.decomposition import (
     exact_pathwidth_decomposition, grid_sweep_decomposition,
 )
 from pwdp.engine import (
-    NodeCtx, build_contexts, catalan_allowed, catalan_prune, crosses,
-    generate_states, reconstruct_solution, run_dp,
+    NodeCtx, _context, _key_context, build_contexts, catalan_allowed,
+    catalan_prune, crosses, generate_states, reconstruct_solution, run_dp,
 )
 from pwdp.errors import (
     CapacityError, DecompositionError, NotApplicableError,
@@ -313,6 +314,24 @@ def weighted_grid(rows, cols, seed):
                        edge_penalties=emap(), coords=g.coords)
 
 
+EVERY_PLUGIN = ([(name, "sum") for name in PLUGIN_NAMES]
+                + [("penalty-coloring", "max")])
+
+
+def weighted_instance(name, mode):
+    """(plugin, graph, npd) of a small weighted grid that name solves;
+    rect-cover gets its widened sweep.  No cycle cover spans the 15
+    cells of a bipartite 3x5 grid, so cycle-cover gets a fourth row and
+    a certificate."""
+    rows = 4 if name == "cycle-cover" else 3
+    grid, g = weighted_grid(rows, 5, seed=len(name))
+    npd, _ = grid_sweep_decomposition(grid, transpose=False,
+                                      widen=name == "rect-cover")
+    plugin = make_plugin(name, g, grid=grid, mode=mode, C=3, k=4, L=2,
+                         U=5, pieces=[(1, 2), (2, 1), (2, 2)])
+    return plugin, g, npd
+
+
 class UnderKeyedMwis(MwisProblem):
     """Leaves w(v) out of its value key, so replays reuse another
     vertex's weight."""
@@ -322,18 +341,9 @@ class UnderKeyedMwis(MwisProblem):
 
 
 class TestMemo:
-    @pytest.mark.parametrize("name, mode",
-                             [(name, "sum") for name in PLUGIN_NAMES]
-                             + [("penalty-coloring", "max")])
+    @pytest.mark.parametrize("name, mode", EVERY_PLUGIN)
     def test_matches_reference_loop(self, name, mode):
-        # no cycle cover spans the 15 cells of a bipartite 3x5 grid, so
-        # cycle-cover gets a fourth row and a certificate to compare
-        rows = 4 if name == "cycle-cover" else 3
-        grid, g = weighted_grid(rows, 5, seed=len(name))
-        npd, _ = grid_sweep_decomposition(grid, transpose=False,
-                                          widen=name == "rect-cover")
-        plugin = make_plugin(name, g, grid=grid, mode=mode, C=3, k=4, L=2,
-                             U=5, pieces=[(1, 2), (2, 1), (2, 2)])
+        plugin, g, npd = weighted_instance(name, mode)
         res = run_dp(plugin, g, npd, retain=True)
         tables, origins = reference_tables(plugin, g, npd)
         assert ([list(t.items()) for t in res.tables]
@@ -489,6 +499,73 @@ class TestKeyReplay:
         ok, _objective = plugin.check_certificate(reconstruct_solution(res))
         assert ok
         assert calls and max(calls.values()) == 1
+
+
+class TestKeyContexts:
+    """After the key pass, node contexts are remade from the node keys
+    and the bags, never from the graph."""
+
+    @pytest.mark.parametrize("name, mode", EVERY_PLUGIN)
+    def test_key_context_equals_graph_context(self, name, mode):
+        plugin, g, npd = weighted_instance(name, mode)
+        seen = []
+        expand = plugin.expand_state
+
+        def recording(state, ctx, action, value):
+            seen.append(ctx)
+            return expand(state, ctx, action, value)
+
+        plugin.expand_state = recording
+        res = run_dp(plugin, g, npd, retain=True)
+        reconstruct_solution(res)
+        res.tables
+        for i, k in enumerate(res.node_keys):
+            assert _key_context(npd.nodes, i, res.keys[k]) == _context(g, npd, i)
+        # the contexts the plugin was handed, in the loop and the replays
+        assert seen
+        assert all(ctx == _context(g, npd, ctx.index) for ctx in seen)
+
+    @pytest.mark.parametrize("name, mode", EVERY_PLUGIN)
+    def test_replays_read_no_adjacency(self, name, mode, monkeypatch):
+        plugin, g, npd = weighted_instance(name, mode)
+        res = run_dp(plugin, g, npd, retain=True)
+        calls = []
+        neighbors = Graph.neighbors
+
+        def counted(graph, v):
+            calls.append(v)
+            return neighbors(graph, v)
+
+        monkeypatch.setattr(Graph, "neighbors", counted)
+        ok, objective = plugin.check_certificate(reconstruct_solution(res))
+        assert ok and objective == res.objective
+        assert len(res.tables) == len(npd.nodes)
+        assert calls == []
+
+
+class TestNoCyclicGarbage:
+    """pwdp's CLI pauses the cyclic collector for a whole command, which
+    is sound only while a run leaves no reference cycle behind: under
+    the pause, a cycle per node would leak without any warning."""
+
+    @pytest.mark.parametrize("name, mode", EVERY_PLUGIN)
+    def test_run_and_replays_leave_no_cycles(self, name, mode):
+        def solve():
+            plugin, g, npd = weighted_instance(name, mode)
+            res = run_dp(plugin, g, npd, retain=True)
+            assert res.feasible
+            reconstruct_solution(res)
+            res.tables
+
+        was = gc.isenabled()
+        gc.collect()  # clear what earlier tests left
+        gc.disable()
+        try:
+            solve()
+            assert gc.collect() == 0
+        finally:
+            if was:
+                gc.enable()
 
 
 class RepeatingEnumeration(ProblemDefinition):
