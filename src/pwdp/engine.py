@@ -94,11 +94,8 @@ def _key_context(nodes, i: int, key: tuple) -> NodeCtx:
 
 
 def generate_states(plugin, nv: int) -> frozenset:
-    """Canonical states of one bag size, enumerated once and cached.
-
-    An enumeration that yields some state twice is a plugin bug, since
-    count_states and the reported bounds would then overcount.
-    """
+    """Canonical states of one bag size, enumerated once and cached for
+    run_dp(validate=True); a state enumerated twice is a plugin bug."""
     cache = plugin._state_cache
     if nv not in cache:
         states = list(plugin.enumerate_states(nv))
@@ -110,8 +107,9 @@ def generate_states(plugin, nv: int) -> frozenset:
     return cache[nv]
 
 
-def catalan_prune(states: frozenset, plugin, npd) -> frozenset:
-    """Drop states whose open-path endpoint pairs cross in bag order.
+def catalan_allowed(plugin, npd) -> Dict[int, int]:
+    """The noncrossing state bound of each bag size of npd, in closed
+    form (plugin.count_noncrossing), ready for run_dp's allowed.
 
     Sound only for path/cycle cover on a row-major grid sweep, where the
     planar frontier keeps open paths noncrossing.
@@ -122,17 +120,8 @@ def catalan_prune(states: frozenset, plugin, npd) -> frozenset:
     if not getattr(npd, "from_grid_sweep", False):
         raise NotApplicableError(
             "catalan pruning needs a grid-sweep decomposition")
-    return frozenset(s for s in states if not crosses(s))
-
-
-def catalan_allowed(plugin, npd):
-    """Noncrossing state set per bag size, ready for run_dp's allowed."""
-    out = {}
-    for node in npd.nodes:
-        nv = len(node.order)
-        if nv not in out:
-            out[nv] = catalan_prune(generate_states(plugin, nv), plugin, npd)
-    return out
+    sizes = sorted({len(node.order) for node in npd.nodes})
+    return {nv: plugin.count_noncrossing(nv) for nv in sizes}
 
 
 class NodeStats(NamedTuple):
@@ -253,7 +242,7 @@ def _moves(expand_state, normalize, state, ctx, actions, value):
 
 def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
            capacity: int = 50_000_000, retain: bool = False,
-           allowed: Optional[Dict[int, frozenset]] = None,
+           allowed: Optional[Dict[int, int]] = None,
            validate: bool = False) -> DpRunResult:
     """Run the generic DP loop and select the best valid final state.
 
@@ -267,16 +256,16 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     last node.  The loop walks the key ids and remakes a node's context
     from its key only when it expands: at a key that occurs once, on a
     memo miss, or under validate.
-    allowed maps bag size to a pruned state set (Catalan pruning); its
-    sizes are the reported per-node bound and feed the capacity check.
-    With validate, every expansion must land in allowed when given, and
-    in the plugin's full canonical state set otherwise, and every replayed
-    state is expanded afresh and must give the same moves, which catches
-    a value_key that leaves out a weight.  With retain, each node's
-    origin map (state to the predecessor state that wrote it) is kept
-    for reconstruction, with the node key ids and the key tuples, and
-    nothing else: no table and no context.  The plugin must be bound
-    to graph itself, since it reads weights from there.
+    allowed maps bag size to the noncrossing bound (catalan_allowed),
+    reported and capacity-checked in place of count_states.  With
+    validate, every produced state must lie in the enumerated canonical
+    set (generate_states) and, when allowed is given, must not cross,
+    and every replayed state is expanded afresh and must give the same
+    moves, which catches a value_key that leaves out a weight.  With
+    retain, each node's origin map (state to the predecessor state that
+    wrote it) is kept for reconstruction, with the node key ids and the
+    key tuples, and nothing else: no table and no context.  The plugin
+    must be bound to graph itself, since it reads weights from there.
     """
     if plugin.graph is not graph:
         raise NotApplicableError(
@@ -286,13 +275,11 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     for node in npd.nodes:
         nv = len(node.order)
         if nv not in allowed_counts:
-            if nv in allowed:
-                allowed_counts[nv] = len(allowed[nv])
-            else:
-                allowed_counts[nv] = plugin.count_states(nv)
-            if allowed_counts[nv] > capacity:
-                raise CapacityError(
-                    f"bag size {nv} needs more than {capacity} state slots")
+            count = allowed[nv] if nv in allowed else plugin.count_states(nv)
+            if count > capacity:
+                raise CapacityError(f"bag size {nv} has {count} states, "
+                                    f"over the capacity of {capacity}")
+            allowed_counts[nv] = count
 
     # expand_state reads only these parts of a node, and the value
     # change only the weights in value_key, so nodes with equal keys
@@ -371,13 +358,16 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
 
         nv = len(node.order)
         if validate:
-            legal = allowed[nv] if nv in allowed else generate_states(plugin, nv)
+            legal = generate_states(plugin, nv)
             for new_state in nxt:
                 if new_state not in legal:
                     raise PluginInconsistencyError(
                         f"expansion produced state {new_state} outside the "
-                        f"{'allowed' if nv in allowed else 'canonical'} set "
-                        f"at node {i + 1}")
+                        f"canonical set at node {i + 1}")
+                if allowed and crosses(new_state):
+                    raise PluginInconsistencyError(
+                        f"expansion produced crossing state {new_state} "
+                        f"at node {i + 1}, outside the noncrossing bound")
         table = nxt
         if retain:
             origins.append(org)

@@ -13,6 +13,7 @@ longer fragment.  Sentinels are at most 0; the caller picks them.
 """
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, Sequence, Tuple
 
 
@@ -91,6 +92,29 @@ def fragment_states(nv, frozen_vals, pair_only):
         yield from rec(i + 1, open_ids | {fresh}, fresh)
 
     yield from rec(0, frozenset(), 0)
+
+
+def count_fragment_states(nv, frozen_vals, pair_only, noncrossing=False):
+    """How many tuples fragment_states(nv, frozen_vals, pair_only)
+    yields, in closed form; with noncrossing, how many do not cross.
+
+    C(nv, q) ways pick the q positions that carry ids, the rest take a
+    frozen value, and f(q) ways group the q ends, by the fate of the
+    first: it ends alone (not with pair_only), or pairs with any of the
+    other q - 1, or, without crossing, with the one at k + 2, splitting
+    the rest into k inside and q - 2 - k outside.  So f counts
+    involutions or pairings, and without crossing Motzkin or Catalan.
+    """
+    f = [1]
+    for q in range(1, nv + 1):
+        n = 0 if pair_only else f[q - 1]
+        if noncrossing:
+            n += sum(f[k] * f[q - 2 - k] for k in range(q - 1))
+        elif q > 1:
+            n += (q - 1) * f[q - 2]
+        f.append(n)
+    return sum(comb(nv, q) * len(frozen_vals) ** (nv - q) * f[q]
+               for q in range(nv + 1))
 
 
 def extend_fragment(labels, j, lone, settled):

@@ -8,7 +8,9 @@ acceptance, and certificate extraction/checking.
 
 States are flat tuples of small integers.  Every plugin counts its
 states in closed form (count_states), so the engine can check a bag's
-table size against its capacity without enumerating.  Expansion returns
+table size against its capacity without enumerating (path and cycle
+cover count their noncrossing states too, for catalan_allowed); the
+engine enumerates only under run_dp(validate=True).  Expansion returns
 a (new_state, new_value, ok) triple; ok False marks the action as
 inapplicable to that predecessor, standing in for an infinite cost.
 Weights, penalties and costs come from the bound graph, never from the

@@ -9,33 +9,15 @@ first-occurrence relabeling, with -1 and 0 frozen.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 from ..decomposition import INTRODUCE
 from ..partition import (
-    extend_fragment, fragment_states, join_fragments, normalize_partition,
+    count_fragment_states, extend_fragment, fragment_states, join_fragments,
+    normalize_partition,
 )
 from .base import FORGET_ACTION, ProblemDefinition, chain_edges
 
 LONE, SETTLED = -1, 0
-
-
-def _involutions(q):
-    # partitions of q elements into blocks of size <= 2
-    a, b = 1, 1
-    for i in range(2, q + 1):
-        a, b = b, b + (i - 1) * a
-    return b if q >= 1 else 1
-
-
-def _pairings(q):
-    # partitions of q elements into blocks of size exactly 2
-    if q % 2:
-        return 0
-    out = 1
-    for i in range(1, q, 2):
-        out *= i
-    return out
 
 
 class PathCoverProblem(ProblemDefinition):
@@ -44,13 +26,20 @@ class PathCoverProblem(ProblemDefinition):
     name = "path-cover"
     direction = "min"
     frozen = frozenset((LONE, SETTLED))
+    # whether every open fragment keeps both ends in the bag
+    pair_only = False
 
     def enumerate_states(self, nv):
-        return fragment_states(nv, (LONE, SETTLED), pair_only=False)
+        return fragment_states(nv, (LONE, SETTLED), self.pair_only)
 
     def count_states(self, nv):
-        return sum(comb(nv, q) * 2 ** (nv - q) * _involutions(q)
-                   for q in range(nv + 1))
+        return count_fragment_states(nv, (LONE, SETTLED), self.pair_only)
+
+    def count_noncrossing(self, nv):
+        """States whose end pairs do not cross, the only ones a grid
+        sweep reaches; for cycle cover the Catalan number C(nv + 1)."""
+        return count_fragment_states(nv, (LONE, SETTLED), self.pair_only,
+                                     noncrossing=True)
 
     def set_of_actions(self, ctx):
         if ctx.kind != INTRODUCE:
@@ -145,15 +134,9 @@ class CycleCoverProblem(PathCoverProblem):
     """
 
     name = "cycle-cover"
+    pair_only = True
     new_delta = 0
     connect_delta = 0
-
-    def enumerate_states(self, nv):
-        return fragment_states(nv, (LONE, SETTLED), pair_only=True)
-
-    def count_states(self, nv):
-        return sum(comb(nv, q) * 2 ** (nv - q) * _pairings(q)
-                   for q in range(nv + 1))
 
     def set_of_actions(self, ctx):
         acts = super().set_of_actions(ctx)

@@ -13,6 +13,7 @@ P4 = "graph 4 3\ne 1 2\ne 2 3\ne 3 4\n"
 K3 = "graph 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 STAR4 = "graph 4 3\ne 1 2\ne 1 3\ne 1 4\n"
 GRID23 = "grid 2 3\n...\n...\n"
+GRID44 = "grid 4 4\n....\n....\n....\n....\n"
 P3_AVG = "graph 3 2\ne 1 2\ne 2 3\nvw 1 1\nvw 2 10\nvw 3 1\n"
 P4_PD = "pd 3\nbag 1 2\nbag 2 3\nbag 3 4\n"
 
@@ -91,6 +92,22 @@ def test_grid_instance_with_pruning(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "objective 1"
     assert len([l for l in lines if l.startswith("edge ")]) == 5
+
+
+@pytest.mark.parametrize("problem, canonical, noncrossing, filled", [
+    ("path-cover", 558, 543, 310),
+    ("cycle-cover", 142, 132, 38),
+])
+def test_prune_catalan_reports_noncrossing_bound(tmp_path, capsys, problem,
+                                                 canonical, noncrossing,
+                                                 filled):
+    # bags of 5 on a 4x4 sweep, where the two bounds differ
+    g = write(tmp_path, "g44.grid", GRID44)
+    for flags, bound in (((), canonical), (("--prune-catalan",), noncrossing)):
+        code, out, _ = run(capsys, "solve", problem, "--grid", g, *flags)
+        assert code == 0
+        assert (f"stats nodes 32 max-allowed {bound} max-filled {filled}"
+                in out.splitlines())
 
 
 def test_rect_cover_on_grid(tmp_path, capsys):

@@ -10,7 +10,7 @@ from pwdp.decomposition import (
 )
 from pwdp.engine import (
     NodeCtx, _context, _key_context, build_contexts, catalan_allowed,
-    catalan_prune, crosses, generate_states, reconstruct_solution, run_dp,
+    crosses, generate_states, reconstruct_solution, run_dp,
 )
 from pwdp.errors import (
     CapacityError, DecompositionError, NotApplicableError,
@@ -95,7 +95,35 @@ class TestCatalan:
         npd, _ = exact_pathwidth_decomposition(g)
         plugin = make_plugin("path-cover", g)
         with pytest.raises(NotApplicableError):
-            catalan_prune(generate_states(plugin, 2), plugin, npd)
+            catalan_allowed(plugin, npd)
+
+    @pytest.mark.parametrize("name", ["path-cover", "cycle-cover"])
+    def test_bound_enumerates_nothing(self, name, monkeypatch):
+        grid = full_grid(4, 4)
+        g = grid_to_graph(grid)
+        npd, _ = grid_sweep_decomposition(grid)
+        plugin = make_plugin(name, g)
+
+        def untouched(*args):
+            raise AssertionError("the noncrossing bound is a closed form")
+
+        monkeypatch.setattr(plugin, "enumerate_states", untouched)
+        res = run_dp(plugin, g, npd, allowed=catalan_allowed(plugin, npd))
+        assert res.feasible
+
+    def test_bound_feeds_capacity(self):
+        # path cover at bag size 5: 558 canonical states, 543 noncrossing
+        grid = full_grid(4, 4)
+        g = grid_to_graph(grid)
+        npd, _ = grid_sweep_decomposition(grid)
+        plugin = make_plugin("path-cover", g)
+        with pytest.raises(CapacityError, match="bag size 5 has 558 states, "
+                                                "over the capacity of 550"):
+            run_dp(plugin, g, npd, capacity=550)
+        allowed = catalan_allowed(plugin, npd)
+        assert allowed[5] == 543
+        res = run_dp(plugin, g, npd, capacity=550, allowed=allowed)
+        assert max(s.allowed for s in res.stats) == 543
 
 
 class TestRunDp:
@@ -247,9 +275,7 @@ class TestValidateMode:
         npd = nice(*[(INTRODUCE, v) for v in (1, 2, 3, 4)],
                    *[(FORGET, v) for v in (1, 2, 3, 4)])
         plugin = make_plugin("path-cover", g)
-        noncrossing = {nv: frozenset(s for s in generate_states(plugin, nv)
-                                     if not crosses(s))
-                       for nv in range(5)}
+        noncrossing = {nv: plugin.count_noncrossing(nv) for nv in range(5)}
         run_dp(plugin, g, npd, validate=True)
         with pytest.raises(PluginInconsistencyError, match=r"\(1, 2, 1, 2\)"):
             run_dp(plugin, g, npd, validate=True, allowed=noncrossing)

@@ -1,8 +1,8 @@
 from math import comb
 
 from pwdp.partition import (
-    count_partitions, is_canonical, normalize_partition,
-    restricted_growth_strings,
+    count_fragment_states, count_partitions, crosses, fragment_states,
+    is_canonical, normalize_partition, restricted_growth_strings,
 )
 
 
@@ -57,3 +57,15 @@ def test_count_edge_cases():
     assert count_partitions(0) == 1
     assert count_partitions(3, 0) == 0
     assert count_partitions(1) == 1
+
+
+def test_fragment_state_counts_match_enumeration():
+    for frozen in ((), (0,), (-1, 0)):
+        for pair_only in (False, True):
+            for nv in range(8):
+                states = list(fragment_states(nv, frozen, pair_only))
+                assert count_fragment_states(nv, frozen, pair_only) \
+                    == len(states)
+                assert count_fragment_states(nv, frozen, pair_only,
+                                             noncrossing=True) \
+                    == sum(not crosses(s) for s in states)

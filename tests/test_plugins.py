@@ -16,6 +16,7 @@ from pwdp.engine import generate_states, reconstruct_solution, run_dp
 from pwdp.errors import NotApplicableError
 from pwdp.graph import Graph, PartialGrid, grid_to_graph
 from pwdp.oracle import oracle_rect_cover
+from pwdp.partition import crosses
 from pwdp.plugins import PLUGIN_NAMES, make_plugin
 
 
@@ -344,6 +345,9 @@ def test_closed_form_count_matches_enumeration(name, params):
     plugin = count_plugin(name, params)
     for nv in range(7):
         assert plugin.count_states(nv) == len(generate_states(plugin, nv))
+        if hasattr(plugin, "count_noncrossing"):
+            assert plugin.count_noncrossing(nv) == sum(
+                not crosses(s) for s in generate_states(plugin, nv))
 
 
 @pytest.mark.parametrize("name, params, states", [
@@ -354,3 +358,12 @@ def test_closed_form_count_matches_enumeration(name, params):
 def test_bag9_count_matches_enumerated_value(name, params, states):
     # from a full enumeration, which takes 20-35 s for these bags
     assert make_plugin(name, path_graph(12), **params).count_states(9) == states
+
+
+@pytest.mark.parametrize("name, nv, states", [
+    ("path-cover", 9, 171_369), ("path-cover", 10, 751_236),
+    ("cycle-cover", 9, 16_796), ("cycle-cover", 10, 58_786),
+])
+def test_noncrossing_count_matches_enumerated_value(name, nv, states):
+    # from enumerating the canonical states and filtering with crosses
+    assert make_plugin(name, path_graph(12)).count_noncrossing(nv) == states
