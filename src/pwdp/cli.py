@@ -8,6 +8,7 @@ optional `certificate` block, a `stats` summary, and the wall time.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 import time
@@ -65,7 +66,11 @@ def _add_param_args(sp):
                     metavar="RxC", help="piece type, repeatable")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: an argparse parser
+    is cyclic garbage, which would stay alive through every command
+    that main runs with the collector paused."""
     ap = _Parser(prog="pwdp",
                  description="dynamic programming on path decompositions")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -274,9 +279,10 @@ def main(argv=None):
     the collector would walk it over and over.  The collector is turned
     back on afterwards if it was on before, however the command ends.
     Argument parsing, and the usage errors that exit through SystemExit,
-    stay outside the pause.  The library (run_dp, pwdp.solve) leaves the
-    collector alone, since process-wide state belongs to the program
-    that owns the process.
+    stay outside the pause; the parser is built once per process
+    (build_parser), so a command leaves no cyclic garbage of its own.
+    The library (run_dp, pwdp.solve) leaves the collector alone, since
+    process-wide state belongs to the program that owns the process.
     """
     args = build_parser().parse_args(argv)
     handlers = {

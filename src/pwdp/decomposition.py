@@ -344,18 +344,12 @@ def exact_pathwidth_decomposition(graph: Graph, max_n: int = 12):
         g[mask] = max(bsize[mask], best)
     vs = g[full]
 
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def reach(mask):
-        if mask == full:
-            return True
-        for i in range(n):
-            if not mask >> i & 1:
-                nxt = mask | 1 << i
-                if bsize[nxt] <= vs and reach(nxt):
-                    return True
-        return False
+    # reach[mask]: the rest can be placed with every boundary within vs
+    # (a table, not a recursive memoized closure, which is a cycle)
+    reach = [False] * full + [True]
+    for mask in range(full - 1, -1, -1):
+        reach[mask] = any(not mask >> i & 1 and bsize[mask | 1 << i] <= vs
+                          and reach[mask | 1 << i] for i in range(n))
 
     order = []
     mask = 0
@@ -363,7 +357,7 @@ def exact_pathwidth_decomposition(graph: Graph, max_n: int = 12):
         for i in range(n):
             if not mask >> i & 1:
                 nxt = mask | 1 << i
-                if bsize[nxt] <= vs and reach(nxt):
+                if bsize[nxt] <= vs and reach[nxt]:
                     order.append(i + 1)
                     mask = nxt
                     break

@@ -1,11 +1,19 @@
 """Generic dynamic-programming engine over nice path decompositions.
 
 The engine walks the decomposition nodes in order, keeping one table per
-node: a mapping from canonical state to the best objective value found
-for it.  Absent keys play the role of the uninitialized sentinel, so the
+node: a mapping from state to the best objective value found for it.
+Absent keys play the role of the uninitialized sentinel, so the
 overwrite rule is: write when the slot is empty, else only when the new
-value is strictly better.  Ties keep the first writer, which fixes the
-reconstruction origin deterministically.
+value is strictly better, by the plugin's direction ('min' compares
+with <, 'max' with >; nothing else ranks values).  Ties keep the first
+writer, which fixes the reconstruction origin deterministically.
+
+A run works on state ids, not state tuples.  The first time a canonical
+state is produced it gets the next small int and joins the run's state
+list; one dict maps every canonical state, and every raw expansion
+result seen so far, to its id.  So normalize runs once per distinct raw
+tuple per run, and tables, memo moves and origins hash ints.  The dict
+is dropped when the run returns; only the state list is kept.
 
 Nodes that share a key (node shape, action list and the plugin's
 value_key) expand a state to the same next states with the same value
@@ -16,15 +24,16 @@ moves once per key, replays them at the key's later nodes, and remakes
 a node's context from its key and bags (_key_context) only when it has
 to expand something.
 
-With retain, each node keeps only its origin map, from each state to the
-predecessor state that last wrote it, and the run keeps its key ids and
-key tuples.  Values are not kept: _replayer() walks the origins forward
-again and recomputes them, for reconstruction and for
-DpRunResult.tables, expanding each (key, predecessor) pair once.
+With retain, each node keeps only its origin map, from each state id to
+the id of the predecessor that last wrote it, and the run keeps its
+state list, key ids and key tuples.  Values are not kept: _replayer()
+walks the origins forward again and recomputes them, for reconstruction
+and for DpRunResult.tables, expanding each (key, predecessor) pair once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import gt, lt
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .decomposition import INTRODUCE, NicePathDecomposition
@@ -137,13 +146,15 @@ class NodeStats(NamedTuple):
 class DpRunResult:
     """The outcome of run_dp.
 
-    origins, kept only with retain, holds one map per node from each
-    state of its table to the predecessor state that wrote it, the
-    predecessor being a key object of the map before.  A retained run
+    final_id is the winning state's id.  A retained run keeps states,
+    the run's canonical states by id (id 0 is the empty state), and
+    origin_ids, one map per node from each state id of its table to the
+    id of the predecessor that wrote it, a key of the map before.  It
     also keeps node_keys, each node's key id, and keys, the key tuples
     by id (keys[k][5] is the action tuple), so that replays need no key
-    pass and remake contexts without the graph.  The tables themselves
-    are not kept; the tables property replays them.
+    pass and remake contexts without the graph.  origins and tables
+    decode the ids on access to the state objects in states; the tables
+    themselves are not kept, the tables property replays them.
     """
     feasible: bool
     value: object = None          # raw table value of the winning state
@@ -153,34 +164,95 @@ class DpRunResult:
     plugin: object = None
     graph: object = None
     npd: object = None
-    origins: Optional[list] = None
     node_keys: Optional[list] = None
     keys: Optional[list] = None
+    states: Optional[list] = None
+    origin_ids: Optional[list] = None
+    final_id: Optional[int] = None
     certificate: object = None    # filled by the solver facade when retained
+
+    @property
+    def retained(self) -> bool:
+        """Whether the run kept its origins, which reconstruction and
+        tables need."""
+        return self.origin_ids is not None
+
+    @property
+    def origins(self) -> Optional[list]:
+        """Every node's origin map, state to the predecessor state that
+        wrote it; None unless origins were retained."""
+        if self.origin_ids is None:
+            return None
+        states = self.states
+        return [{states[sid]: states[pred] for sid, pred in org.items()}
+                for org in self.origin_ids]
 
     @property
     def tables(self) -> Optional[list]:
         """Every node's table, state to value, replayed forward along
         the origins; None unless origins were retained.  Keys and their
         order are the origin maps', which are the tables' own."""
-        if self.origins is None:
+        if self.origin_ids is None:
             return None
         replay = _replayer(self)
-        plugin = self.plugin
-        table = {plugin.empty_state(): plugin.initial_value()}
+        states = self.states
+        values = {0: self.plugin.initial_value()}
         tables = []
-        for i, org in enumerate(self.origins):
-            table = {state: replay(i, pred, table[pred], state)[1]
-                     for state, pred in org.items()}
-            tables.append(table)
+        for i, org in enumerate(self.origin_ids):
+            values = {sid: replay(i, pred, values[pred], sid)[1]
+                      for sid, pred in org.items()}
+            tables.append({states[sid]: value
+                           for sid, value in values.items()})
         return tables
+
+
+def _better(plugin):
+    """The strict comparison that ranks plugin's values: operator.lt
+    for direction 'min', operator.gt for 'max'."""
+    if plugin.direction not in ("min", "max"):
+        raise PluginInconsistencyError(
+            f"{plugin.name} has direction {plugin.direction!r}, "
+            f"not 'min' or 'max'")
+    return lt if plugin.direction == "min" else gt
+
+
+def _interner(normalize, ids, states):
+    """intern(raw) -> the id of normalize(raw), for a raw state ids does
+    not hold yet.  A canonical state seen for the first time takes the
+    next id and joins states; raw is entered in ids too, so that its
+    next occurrence costs one dict lookup and no normalize call."""
+    def intern(raw):
+        canon = normalize(raw)
+        sid = ids.get(canon)
+        if sid is None:
+            sid = ids[canon] = len(states)
+            states.append(canon)
+        ids[raw] = sid
+        return sid
+    return intern
+
+
+def _expander(expand_state, ids, intern):
+    """expand(state, ctx, actions, value) -> [(next id, value change)]
+    for each action that applies to state, in action order."""
+    def expand(state, ctx, actions, value):
+        moves = []
+        for action in actions:
+            new_state, new_value, ok = expand_state(state, ctx, action, value)
+            if ok:
+                nid = ids.get(new_state)
+                if nid is None:
+                    nid = intern(new_state)
+                moves.append((nid, new_value - value))
+        return moves
+    return expand
 
 
 def _replayer(result: DpRunResult):
     """replay(i, pred, value, state, ctx=None) -> (action, new value) for
-    the first action from pred at node i, in action order, whose
-    normalized next state is state and whose new value is best under
-    plugin.better.
+    the first action from state id pred at node i, in action order,
+    whose next state id is state and whose new value is best by the
+    plugin's direction.
 
     When pred is state's origin and value is pred's table value, this is
     the action that wrote state's final table entry and that entry's
@@ -188,17 +260,19 @@ def _replayer(result: DpRunResult):
     value, since a later equal candidate never overwrites.  Each
     (key, pred) pair is expanded once, on the node context given or
     remade then from the node key (_key_context; the graph is not
-    read), into (action, normalized next, value change) moves that the
-    key's other nodes reuse, as the run's memo does (its moves leave the
+    read), into (action, next id, value change) moves that the key's
+    other nodes reuse, as the run's memo does (its moves leave the
     action out, which keeps the larger memo small); a key that names its
     node (penalty-coloring's max mode) shares no moves.
     """
     plugin = result.plugin
     nodes = result.npd.nodes
     node_keys, keys = result.node_keys, result.keys
-    expand_state = plugin.expand_state
-    normalize = plugin.normalize
-    better = plugin.better
+    states = result.states
+    ids = {state: sid for sid, state in enumerate(states)}
+    expand = _expander(plugin.expand_state, ids,
+                       _interner(plugin.normalize, ids, states))
+    better = _better(plugin)
     cache = {}
 
     def replay(i, pred, value, state, ctx=None):
@@ -207,37 +281,23 @@ def _replayer(result: DpRunResult):
         if moves is None:
             if ctx is None:
                 ctx = _key_context(nodes, i, keys[k])
-            moves = cache[k, pred] = []
-            for action in keys[k][5]:
-                new_state, new_value, ok = expand_state(pred, ctx, action,
-                                                        value)
-                if ok:
-                    moves.append((action, normalize(new_state),
-                                  new_value - value))
+            before = states[pred]
+            moves = cache[k, pred] = [
+                (action, nid, delta) for action in keys[k][5]
+                for nid, delta in expand(before, ctx, (action,), value)]
         best = None
-        for action, new_state, delta in moves:
-            if new_state == state:
+        for action, nid, delta in moves:
+            if nid == state:
                 new_value = value + delta
                 if best is None or better(new_value, best[1]):
                     best = (action, new_value)
         if best is None:
             raise PluginInconsistencyError(
-                f"{plugin.name} no longer reaches state {state} from its "
-                f"origin {pred} at node {i + 1}")
+                f"{plugin.name} no longer reaches state {states[state]} "
+                f"from its origin {states[pred]} at node {i + 1}")
         return best
 
     return replay
-
-
-def _moves(expand_state, normalize, state, ctx, actions, value):
-    """(normalized next state, value change) for each action that
-    applies to state, in action order."""
-    moves = []
-    for action in actions:
-        new_state, new_value, ok = expand_state(state, ctx, action, value)
-        if ok:
-            moves.append((normalize(new_state), new_value - value))
-    return moves
 
 
 def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
@@ -247,29 +307,36 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     """Run the generic DP loop and select the best valid final state.
 
     Each node expands every predecessor state under every action in
-    order, normalizes the result and merges it into the next table.  A
-    key pass over the graph-built node contexts first gives each node
-    its key id.  A node whose key recurs at a later node keeps each
-    state's moves (normalized next state, value change) in a memo, made
-    at the key's first node; the later nodes replay them without calling
+    order, normalizes the result and merges it into the next table.
+    Tables are keyed by state id: each canonical state is interned the
+    first time it is produced, and each raw expansion result is
+    normalized once per run, its id cached in the same dict.  A key
+    pass over the graph-built node contexts first gives each node its
+    key id.  A node whose key recurs at a later node keeps each state's
+    moves (next state id, value change) in a memo, made at the key's
+    first node; the later nodes replay them without calling
     expand_state or normalize, and the memo is dropped after the key's
     last node.  The loop walks the key ids and remakes a node's context
     from its key only when it expands: at a key that occurs once, on a
     memo miss, or under validate.
+    plugin.direction must be 'min' or 'max' (PluginInconsistencyError
+    otherwise); it alone ranks values.
     allowed maps bag size to the noncrossing bound (catalan_allowed),
     reported and capacity-checked in place of count_states.  With
     validate, every produced state must lie in the enumerated canonical
     set (generate_states) and, when allowed is given, must not cross,
     and every replayed state is expanded afresh and must give the same
     moves, which catches a value_key that leaves out a weight.  With
-    retain, each node's origin map (state to the predecessor state that
-    wrote it) is kept for reconstruction, with the node key ids and the
-    key tuples, and nothing else: no table and no context.  The plugin
-    must be bound to graph itself, since it reads weights from there.
+    retain, each node's origin map (state id to the id of the
+    predecessor that wrote it) is kept for reconstruction, with the
+    run's state list, the node key ids and the key tuples, and nothing
+    else: no table and no context.  The plugin must be bound to graph
+    itself, since it reads weights from there.
     """
     if plugin.graph is not graph:
         raise NotApplicableError(
             f"{plugin.name} plugin is bound to another graph")
+    better = _better(plugin)
     allowed = allowed or {}
     allowed_counts = {}
     for node in npd.nodes:
@@ -297,10 +364,14 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
         left[k] += 1
     memos = {}
 
+    # ids maps each canonical state, and each raw state met so far, to
+    # the index of the canonical state in states
     expand_state = plugin.expand_state
-    normalize = plugin.normalize
-    better = plugin.better
-    table = {plugin.empty_state(): plugin.initial_value()}
+    states = [plugin.empty_state()]
+    ids = {states[0]: 0}
+    intern = _interner(plugin.normalize, ids, states)
+    expand = _expander(expand_state, ids, intern)
+    table = {0: plugin.initial_value()}
     origins = [] if retain else None
     stats = []
     nodes = npd.nodes
@@ -320,46 +391,50 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
         if memo is None:
             # a key no later node carries: expand straight into nxt
             ctx = _key_context(nodes, i, key)
-            for state, value in table.items():
+            for sid, value in table.items():
+                state = states[sid]
                 for action in actions:
                     new_state, new_value, ok = expand_state(state, ctx, action,
                                                             value)
                     if not ok:
                         continue
-                    new_state = normalize(new_state)
-                    old = nxt.get(new_state)
+                    nid = ids.get(new_state)
+                    if nid is None:
+                        nid = intern(new_state)
+                    old = nxt.get(nid)
                     if old is None or better(new_value, old):
-                        nxt[new_state] = new_value
+                        nxt[nid] = new_value
                         if org is not None:
-                            org[new_state] = state
+                            org[nid] = sid
         else:
             ctx = _key_context(nodes, i, key) if validate else None
-            for state, value in table.items():
-                moves = memo.get(state)
+            for sid, value in table.items():
+                moves = memo.get(sid)
                 if moves is None:
                     if ctx is None:
                         ctx = _key_context(nodes, i, key)
-                    moves = memo[state] = _moves(expand_state, normalize,
-                                                 state, ctx, actions, value)
-                elif validate and moves != _moves(expand_state, normalize,
-                                                  state, ctx, actions, value):
+                    moves = memo[sid] = expand(states[sid], ctx, actions,
+                                               value)
+                elif validate and moves != expand(states[sid], ctx, actions,
+                                                  value):
                     raise PluginInconsistencyError(
-                        f"{plugin.name} expands state {state} at node "
+                        f"{plugin.name} expands state {states[sid]} at node "
                         f"{i + 1} unlike an earlier node with the "
                         f"same key: value_key misses a weight the value "
                         f"change reads")
-                for new_state, delta in moves:
+                for nid, delta in moves:
                     new_value = value + delta
-                    old = nxt.get(new_state)
+                    old = nxt.get(nid)
                     if old is None or better(new_value, old):
-                        nxt[new_state] = new_value
+                        nxt[nid] = new_value
                         if org is not None:
-                            org[new_state] = state
+                            org[nid] = sid
 
         nv = len(node.order)
         if validate:
             legal = generate_states(plugin, nv)
-            for new_state in nxt:
+            for nid in nxt:
+                new_state = states[nid]
                 if new_state not in legal:
                     raise PluginInconsistencyError(
                         f"expansion produced state {new_state} outside the "
@@ -375,58 +450,61 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                                allowed_counts[nv], len(table)))
 
     result = DpRunResult(feasible=False, stats=stats, plugin=plugin,
-                         graph=graph, npd=npd, origins=origins)
+                         graph=graph, npd=npd)
     if retain:
         result.node_keys = node_keys
         result.keys = keys
-    best_state = None
+        result.states = states
+        result.origin_ids = origins
+    best_id = None
     best_final = None
-    best_value = None
-    for state, value in table.items():
+    for sid, value in table.items():
+        state = states[sid]
         if not plugin.is_valid_final(state):
             continue
         fv = plugin.final_value(state, value)
-        if best_state is None or plugin.better(fv, best_final):
-            best_state, best_final, best_value = state, fv, value
-    if best_state is not None:
+        if best_id is None or better(fv, best_final):
+            best_id, best_final = sid, fv
+    if best_id is not None:
         result.feasible = True
-        result.value = best_value
+        result.value = table[best_id]
         result.objective = best_final
-        result.final_state = best_state
+        result.final_state = states[best_id]
+        result.final_id = best_id
     return result
 
 
 def reconstruct_solution(result: DpRunResult):
     """Rebuild the winning solution from the retained origins.
 
-    A backward walk follows the origins from the winning final state to
-    node 1 and collects each node's state.  A forward walk then remakes
-    each node's context from its node key, without reading the graph,
-    and replays the node from the predecessor's value (_replayer), which
-    picks the action the run took and recomputes the value; a final
-    value other than result.value means the plugin's expansion has
-    changed since the run.  The (ctx, prev, action, state) chain goes to
-    the plugin's certificate builder.
+    A backward walk follows the origin ids from the winning final state
+    to node 1 and collects each node's state id.  A forward walk then
+    remakes each node's context from its node key, without reading the
+    graph, and replays the node from the predecessor's value
+    (_replayer), which picks the action the run took and recomputes the
+    value; a final value other than result.value means the plugin's
+    expansion has changed since the run.  The (ctx, prev, action, state)
+    chain, with states decoded, goes to the plugin's certificate
+    builder.
     """
     if not result.feasible:
         raise ReconstructionUnavailableError("run was infeasible")
-    if result.origins is None:
+    if not result.retained:
         raise ReconstructionUnavailableError(
             "origins were not retained (retain=False)")
     plugin = result.plugin
-    states = [result.final_state]
-    for org in reversed(result.origins):
-        states.append(org[states[-1]])
-    states.reverse()
+    path = [result.final_id]
+    for org in reversed(result.origin_ids):
+        path.append(org[path[-1]])
+    path.reverse()
     replay = _replayer(result)
-    nodes, keys = result.npd.nodes, result.keys
+    nodes, keys, states = result.npd.nodes, result.keys, result.states
     chain = []
     value = plugin.initial_value()
-    for i, (k, prev, state) in enumerate(zip(result.node_keys, states,
-                                             states[1:])):
+    for i, (k, prev, sid) in enumerate(zip(result.node_keys, path, path[1:])):
         ctx = _key_context(nodes, i, keys[k])
-        action, value = replay(i, prev, value, state, ctx)
-        chain.append((ctx, prev, action, state))
+        action, value = replay(i, prev, value, sid, ctx)
+        chain.append((ctx, states[prev], action, states[sid]))
     if value != result.value:
         raise PluginInconsistencyError(
             f"{plugin.name} replays the winning chain to value {value}, "

@@ -46,7 +46,8 @@ class CapacityError(PwdpError):
 class PluginInconsistencyError(PwdpError):
     """A plugin's states disagree with its state space: the enumeration
     repeats a state, or an expansion lands outside the legal set, or a
-    replayed expansion differs from the one the run made."""
+    replayed expansion differs from the one the run made; or the plugin
+    ranks values by a direction other than 'min' or 'max'."""
 
 
 class ReconstructionUnavailableError(PwdpError):

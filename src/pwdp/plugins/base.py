@@ -3,8 +3,9 @@
 A plugin binds a graph and problem parameters, and supplies everything
 the engine needs: the per-bag-size state space, the action set of each
 decomposition node, the expansion of a predecessor state under an
-action, normalization to canonical form, value comparison, final-state
-acceptance, and certificate extraction/checking.
+action, normalization to canonical form, the direction values are
+ranked in, final-state acceptance, and certificate
+extraction/checking.
 
 States are flat tuples of small integers.  Every plugin counts its
 states in closed form (count_states), so the engine can check a bag's
@@ -15,6 +16,17 @@ a (new_state, new_value, ok) triple; ok False marks the action as
 inapplicable to that predecessor, standing in for an infinite cost.
 Weights, penalties and costs come from the bound graph, never from the
 node context.
+
+direction is the only ranking rule: 'min' keeps the smaller value
+(operator.lt), 'max' the larger (operator.gt), for table entries and
+for the final values alike; run_dp rejects any other direction.
+
+normalize must be a pure function of the state that maps every
+canonical state to itself.  The engine interns states as small ints
+and caches each raw expansion result's canonical id for the whole run,
+so it calls normalize at most once per distinct raw tuple, and a raw
+tuple equal to a canonical state it has already seen is not normalized
+at all.
 
 The engine memoizes expansions across nodes, so expand_state may read
 from its node context only kind, pos, nbrs, len(order_before) and
@@ -57,7 +69,7 @@ FORGET_ACTION = ("forget",)
 
 class ProblemDefinition:
     name: str = ""
-    direction: str = "min"   # 'min' or 'max'; drives the default better()
+    direction: str = "min"   # 'min' or 'max': how values are ranked
 
     def __init__(self, graph):
         self.graph = graph
@@ -97,11 +109,6 @@ class ProblemDefinition:
 
     def normalize(self, state: tuple) -> tuple:
         return state
-
-    def better(self, a, b) -> bool:
-        if self.direction == "min":
-            return a < b
-        return a > b
 
     # ----- final selection -----
 

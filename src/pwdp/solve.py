@@ -17,7 +17,7 @@ def _run(name, graph, npd, params=None, **engine_kw):
     plugin = make_plugin(name, graph, **(params or {}))
     engine_kw.setdefault("retain", True)
     result = run_dp(plugin, graph, npd, **engine_kw)
-    if result.feasible and result.origins is not None:
+    if result.feasible and result.retained:
         result.certificate = reconstruct_solution(result)
     return result
 

@@ -314,6 +314,23 @@ def test_main_restores_the_callers_collector(collector, case, tmp_path,
     assert gc.isenabled() == collector
 
 
+def test_second_command_leaves_no_cyclic_garbage(tmp_path, capsys):
+    # the parser is built once per process; one built per call would be
+    # garbage in cycles, kept alive while main pauses the collector
+    k3 = write(tmp_path, "k3.g", K3)
+    argv = ("solve", "coloring", "--graph", k3, "-C", "3", "--reconstruct")
+    assert run(capsys, *argv)[0] == 0
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(capsys, *argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+
+
 def readme_quick_start():
     """The Python and the shell block of the README's quick start."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,4 +1,5 @@
 import gc
+import operator
 import random
 from collections import Counter
 
@@ -284,6 +285,7 @@ class TestValidateMode:
 def reference_tables(plugin, graph, npd):
     """The loop without memoized expansions: every node expands, then
     normalizes and merges, every state under every action."""
+    better = operator.lt if plugin.direction == "min" else operator.gt
     table = {plugin.empty_state(): plugin.initial_value()}
     tables, origins = [], []
     for ctx in build_contexts(graph, npd):
@@ -295,8 +297,8 @@ def reference_tables(plugin, graph, npd):
                 if not ok:
                     continue
                 new_state = plugin.normalize(new_state)
-                if new_state not in nxt or plugin.better(new_value,
-                                                         nxt[new_state]):
+                if new_state not in nxt or better(new_value,
+                                                  nxt[new_state]):
                     nxt[new_state] = new_value
                     org[new_state] = (state, ai)
         table = nxt
@@ -413,6 +415,69 @@ class TestMemo:
         candidates = sum(size * len(plugin.set_of_actions(ctx))
                          for size, ctx in zip(sizes, build_contexts(g, npd)))
         assert sum(calls.values()) < candidates / 2
+
+
+class TestStateIds:
+    """run_dp hashes small ints, one per canonical state, and caches each
+    raw expansion result's id, so normalize sees a raw tuple at most
+    once per run; direction alone ranks values."""
+
+    @staticmethod
+    def counting_normalize(plugin):
+        calls = Counter()
+        normalize = plugin.normalize
+
+        def counted(state):
+            calls[state] += 1
+            return normalize(state)
+
+        plugin.normalize = counted
+        return calls
+
+    @pytest.mark.parametrize("validate", [False, True])
+    @pytest.mark.parametrize("name, mode", EVERY_PLUGIN)
+    def test_each_raw_state_normalized_at_most_once(self, name, mode,
+                                                    validate):
+        plugin, g, npd = weighted_instance(name, mode)
+        calls = self.counting_normalize(plugin)
+        res = run_dp(plugin, g, npd, retain=True, validate=validate)
+        assert calls and max(calls.values()) == 1
+        # each replay caches on its own; a raw tuple equal to a state of
+        # the run needs no normalize call there
+        for replay in (reconstruct_solution, lambda r: r.tables):
+            calls.clear()
+            replay(res)
+            assert max(calls.values(), default=0) <= 1
+
+    def test_under_keyed_plugin_caught_through_the_cache(self):
+        g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)],
+                  vertex_weights={1: 1, 2: 5, 3: 1, 4: 7, 5: 2})
+        npd, _ = exact_pathwidth_decomposition(g)
+        plugin = UnderKeyedMwis(g)
+        calls = self.counting_normalize(plugin)
+        with pytest.raises(PluginInconsistencyError, match="value_key"):
+            run_dp(plugin, g, npd, validate=True)
+        assert calls and max(calls.values()) == 1
+
+    @pytest.mark.parametrize("direction", ["maximize", "MIN", None])
+    def test_unknown_direction_rejected(self, direction):
+        g = path_graph(3)
+        npd, _ = exact_pathwidth_decomposition(g)
+        plugin = make_plugin("mwis", g)
+        plugin.direction = direction
+        with pytest.raises(PluginInconsistencyError,
+                           match="not 'min' or 'max'"):
+            run_dp(plugin, g, npd)
+
+    def test_tables_decode_to_interned_states(self):
+        grid = full_grid(3, 4)
+        g = grid_to_graph(grid)
+        npd, _ = grid_sweep_decomposition(grid)
+        res = run_dp(make_plugin("path-cover", g), g, npd, retain=True)
+        for table, org, ids in zip(res.tables, res.origins, res.origin_ids):
+            assert list(table) == list(org) == [res.states[s] for s in ids]
+            assert all(a is b for a, b in zip(table, org))
+        assert res.states[res.final_id] is res.final_state
 
 
 class TestRetention:
