@@ -203,8 +203,8 @@ def _cmd_solve(args):
         if args.reconstruct:
             cert = reconstruct_solution(result)
             print("certificate")
-            for line in plugin.certificate_lines(cert):
-                print(line)
+            sys.stdout.write("".join(f"{line}\n"
+                                     for line in plugin.certificate_lines(cert)))
     else:
         print("infeasible")
 
@@ -215,10 +215,9 @@ def _cmd_solve(args):
             for state, value in table.items():
                 comps = " ".join(str(c) for c in state)
                 print(f"state {comps} value {value}".replace("  ", " "))
-    max_allowed = max(s.allowed for s in result.stats)
-    max_filled = max(s.filled for s in result.stats)
-    print(f"stats nodes {len(result.stats)} max-allowed {max_allowed} "
-          f"max-filled {max_filled}")
+    print(f"stats nodes {len(result.filled)} "
+          f"max-allowed {max(result.allowed.values())} "
+          f"max-filled {max(result.filled)}")
     print(f"time {elapsed:.3f}s")
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 

@@ -7,6 +7,7 @@ introduce/forget events, which is what the solver consumes.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DecompositionError, GraphFormatError, SizeLimitError
@@ -97,6 +98,11 @@ class NicePathDecomposition:
     last, and a forget preserves the relative order of the survivors.
     The first node introduces a vertex and the final bag is empty, so a
     graph on n vertices always yields exactly 2n nodes.
+
+    The nodes are checked once, on construction.  That walk also records
+    positions, one entry per node: None at an introduce, and at a forget
+    the index of the leaving vertex in the bag before it (NodeCtx.pos),
+    which build_contexts reads instead of searching the bag again.
     """
 
     from_grid_sweep = False  # set by the grid sweep builder
@@ -105,35 +111,41 @@ class NicePathDecomposition:
         if not nodes:
             raise DecompositionError("bad-structure", "no nodes")
         self.nodes = tuple(nodes)
-        self._check()
+        self.positions = self._check()
 
-    def _check(self):
+    def _check(self) -> List[Optional[int]]:
+        """Raise bad-structure at the first malformed node; return each
+        node's position, found while checking a forget's survivors."""
         prev: Tuple[int, ...] = ()
         introduced = set()
-        for i, node in enumerate(self.nodes, start=1):
-            if node.kind == INTRODUCE:
-                if node.vertex in introduced:
+        positions = []
+        for i, (kind, v, order) in enumerate(self.nodes, start=1):
+            if kind == INTRODUCE:
+                if v in introduced:
                     raise DecompositionError(
-                        "bad-structure", f"vertex {node.vertex} introduced twice")
-                if node.order != prev + (node.vertex,):
+                        "bad-structure", f"vertex {v} introduced twice")
+                if order != prev + (v,):
                     raise DecompositionError(
-                        "bad-structure", f"node {i} order does not append {node.vertex}")
-                introduced.add(node.vertex)
-            elif node.kind == FORGET:
-                if node.vertex not in prev:
+                        "bad-structure", f"node {i} order does not append {v}")
+                introduced.add(v)
+                positions.append(None)
+            elif kind == FORGET:
+                if v not in prev:
                     raise DecompositionError(
-                        "bad-structure", f"node {i} forgets absent vertex {node.vertex}")
-                expect = tuple(v for v in prev if v != node.vertex)
-                if node.order != expect:
+                        "bad-structure", f"node {i} forgets absent vertex {v}")
+                j = prev.index(v)
+                if order != prev[:j] + prev[j + 1:]:
                     raise DecompositionError(
                         "bad-structure", f"node {i} reorders survivors")
+                positions.append(j)
             else:
-                raise DecompositionError("bad-structure", f"unknown kind {node.kind!r}")
-            prev = node.order
+                raise DecompositionError("bad-structure", f"unknown kind {kind!r}")
+            prev = order
         # an empty final bag means every introduced vertex was forgotten,
         # and no vertex returns, so each is forgotten exactly once
         if prev:
             raise DecompositionError("bad-structure", "final bag not empty")
+        return positions
 
     @property
     def p(self) -> int:
@@ -269,36 +281,31 @@ def grid_sweep_decomposition(grid: PartialGrid, transpose="auto", widen=False):
     cells = grid.cells_row_major()
     vid = {cell: i for i, cell in enumerate(cells, start=1)}
     if do_t:
-        sweep = sorted(cells, key=lambda rc: (rc[1], rc[0]))
+        sweep = sorted(cells, key=itemgetter(1, 0))
     else:
         sweep = cells
     pos = {cell: i for i, cell in enumerate(sweep)}
+    find = pos.get
+    removed = grid.removed_edges
 
-    def below(cell):
-        r, c = cell
-        return (r, c + 1) if do_t else (r + 1, c)
-
-    def line(cell):
-        return cell[1] if do_t else cell[0]
-
-    line_end = {}
-    for cell in sweep:
-        line_end[line(cell)] = max(line_end.get(line(cell), 0), pos[cell])
+    if widen:
+        line_end = {}
+        for i, (r, c) in enumerate(sweep):
+            line_end[c if do_t else r] = i  # the sweep visits lines in turn
 
     last = []
     for i, cell in enumerate(sweep):
         r, c = cell
         lp = i
         for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if nb in grid.present and pos[nb] > i:
-                e = (cell, nb) if cell < nb else (nb, cell)
-                if e not in grid.removed_edges:
-                    lp = max(lp, pos[nb])
+            j = find(nb)
+            if j is not None and j > lp and not (
+                    removed and ((cell, nb) if cell < nb else (nb, cell))
+                    in removed):
+                lp = j
         if widen:
-            lp = max(lp, line_end[line(cell)])
-            b = below(cell)
-            if b in grid.present:
-                lp = max(lp, pos[b])
+            lp = max(lp, line_end[c if do_t else r],
+                     find((r, c + 1) if do_t else (r + 1, c), lp))
         last.append(lp)
     npd = _sweep_nice([vid[c] for c in sweep], last)
     npd.from_grid_sweep = True

@@ -17,9 +17,11 @@ is dropped when the run returns; only the state list is kept.
 
 Nodes that share a key (node shape, action list and the plugin's
 value_key) expand a state to the same next states with the same value
-changes.  One pass over the graph-built node contexts gives each node
-its key id; from then on the engine works from those ids and never
-reads the graph's adjacency again.  The DP loop computes each state's
+changes.  One walk over the nodes (build_contexts) makes each node's
+context from the running bag, the forget positions the decomposition
+recorded and the graph's adjacency, and gives each node its key id;
+from then on the engine works from those ids and never reads the
+graph's adjacency again.  The DP loop computes each state's
 moves once per key, replays them at the key's later nodes, and remakes
 a node's context from its key and bags (_key_context) only when it has
 to expand something.
@@ -29,6 +31,8 @@ the id of the predecessor that last wrote it, and the run keeps its
 state list, key ids and key tuples.  Values are not kept: _replayer()
 walks the origins forward again and recomputes them, for reconstruction
 and for DpRunResult.tables, expanding each (key, predecessor) pair once.
+Every run keeps one int per node, its table size; the per-node
+NodeStats records are made from those counts when asked for.
 """
 from __future__ import annotations
 
@@ -70,14 +74,31 @@ def build_contexts(graph: Graph, npd: NicePathDecomposition
                    ) -> Iterator[NodeCtx]:
     """Check now, in O(n + m), that npd covers every vertex and edge of
     graph (npd.validate), then return a lazy iterator that makes one
-    context per node, from the graph, as the walk reaches it."""
+    context per node as the walk reaches it.
+
+    The walk carries the bag before each node along, takes each forget's
+    position from npd.positions (recorded when npd checked its nodes)
+    and reads the neighbors from graph.adjacency; it yields what
+    _context builds node by node.
+    """
     npd.validate(graph)
-    return (_context(graph, npd, i) for i in range(len(npd.nodes)))
+    return _walk_contexts(graph.adjacency, npd.nodes, npd.positions)
+
+
+def _walk_contexts(adjacency, nodes, positions) -> Iterator[NodeCtx]:
+    last = len(nodes) - 1
+    prev = ()
+    for i, (kind, v, order) in enumerate(nodes):
+        near = adjacency.get(v, ())
+        nbrs = tuple([j for j, u in enumerate(prev) if u in near])
+        yield NodeCtx(i, kind, v, prev, order, positions[i], nbrs, i == last)
+        prev = order
 
 
 def _context(graph: Graph, npd: NicePathDecomposition, i: int) -> NodeCtx:
     """The context of node i (0-based) of a decomposition already
-    validated against graph.
+    validated against graph, made from the graph alone: the reference
+    that build_contexts' walk must equal at every node.
 
     The final bag is empty, so nodes[i - 1].order is the bag before node
     i at i = 0 too.  A vertex is not its own neighbor, so at a forget
@@ -146,7 +167,11 @@ class NodeStats(NamedTuple):
 class DpRunResult:
     """The outcome of run_dp.
 
-    final_id is the winning state's id.  A retained run keeps states,
+    filled lists each node's table size, in node order, and allowed maps
+    each bag size of the decomposition to the state bound reported for
+    it (count_states, or run_dp's allowed); stats makes the per-node
+    NodeStats records from these and npd.nodes on access.  final_id is
+    the winning state's id.  A retained run keeps states,
     the run's canonical states by id (id 0 is the empty state), and
     origin_ids, one map per node from each state id of its table to the
     id of the predecessor that wrote it, a key of the map before.  It
@@ -160,7 +185,8 @@ class DpRunResult:
     value: object = None          # raw table value of the winning state
     objective: object = None      # final_value of the winning state
     final_state: tuple = None
-    stats: List[NodeStats] = field(default_factory=list)
+    filled: List[int] = field(default_factory=list)
+    allowed: Dict[int, int] = field(default_factory=dict)
     plugin: object = None
     graph: object = None
     npd: object = None
@@ -170,6 +196,15 @@ class DpRunResult:
     origin_ids: Optional[list] = None
     final_id: Optional[int] = None
     certificate: object = None    # filled by the solver facade when retained
+
+    @property
+    def stats(self) -> List[NodeStats]:
+        """One NodeStats per node, (index, kind, vertex, nv, allowed,
+        filled), index 1-based, made afresh on each access."""
+        allowed = self.allowed
+        return [NodeStats(i, kind, v, len(order), allowed[len(order)], filled)
+                for i, ((kind, v, order), filled)
+                in enumerate(zip(self.npd.nodes, self.filled), start=1)]
 
     @property
     def retained(self) -> bool:
@@ -233,8 +268,10 @@ def _interner(normalize, ids, states):
 
 
 def _expander(expand_state, ids, intern):
-    """expand(state, ctx, actions, value) -> [(next id, value change)]
-    for each action that applies to state, in action order."""
+    """expand(state, ctx, actions, value) -> [(next, value change)] for
+    each action that applies to state, in action order, where next is
+    ids[new state] when ids holds it and intern(new state) otherwise:
+    the run's state id, or in a replay the canonical state itself."""
     def expand(state, ctx, actions, value):
         moves = []
         for action in actions:
@@ -251,7 +288,7 @@ def _expander(expand_state, ids, intern):
 def _replayer(result: DpRunResult):
     """replay(i, pred, value, state, ctx=None) -> (action, new value) for
     the first action from state id pred at node i, in action order,
-    whose next state id is state and whose new value is best by the
+    whose next state is states[state] and whose new value is best by the
     plugin's direction.
 
     When pred is state's origin and value is pred's table value, this is
@@ -260,18 +297,26 @@ def _replayer(result: DpRunResult):
     value, since a later equal candidate never overwrites.  Each
     (key, pred) pair is expanded once, on the node context given or
     remade then from the node key (_key_context; the graph is not
-    read), into (action, next id, value change) moves that the key's
-    other nodes reuse, as the run's memo does (its moves leave the
-    action out, which keeps the larger memo small); a key that names its
-    node (penalty-coloring's max mode) shares no moves.
+    read), into (action, next canonical state, value change) moves that
+    the key's other nodes reuse, as the run's memo does (its moves leave
+    the action out, which keeps the larger memo small); a key that names
+    its node (penalty-coloring's max mode) shares no moves.  A replay
+    reads states only by id: it normalizes through its own raw ->
+    canonical cache and compares canonical states, which are equal
+    exactly when their ids are.
     """
     plugin = result.plugin
     nodes = result.npd.nodes
     node_keys, keys = result.node_keys, result.keys
     states = result.states
-    ids = {state: sid for sid, state in enumerate(states)}
-    expand = _expander(plugin.expand_state, ids,
-                       _interner(plugin.normalize, ids, states))
+    normalize = plugin.normalize
+    canonical = {}
+
+    def canonicalize(raw):
+        canon = canonical[raw] = normalize(raw)
+        return canon
+
+    expand = _expander(plugin.expand_state, canonical, canonicalize)
     better = _better(plugin)
     cache = {}
 
@@ -283,17 +328,18 @@ def _replayer(result: DpRunResult):
                 ctx = _key_context(nodes, i, keys[k])
             before = states[pred]
             moves = cache[k, pred] = [
-                (action, nid, delta) for action in keys[k][5]
-                for nid, delta in expand(before, ctx, (action,), value)]
+                (action, canon, delta) for action in keys[k][5]
+                for canon, delta in expand(before, ctx, (action,), value)]
+        target = states[state]
         best = None
-        for action, nid, delta in moves:
-            if nid == state:
+        for action, canon, delta in moves:
+            if canon == target:
                 new_value = value + delta
                 if best is None or better(new_value, best[1]):
                     best = (action, new_value)
         if best is None:
             raise PluginInconsistencyError(
-                f"{plugin.name} no longer reaches state {states[state]} "
+                f"{plugin.name} no longer reaches state {target} "
                 f"from its origin {states[pred]} at node {i + 1}")
         return best
 
@@ -330,8 +376,11 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     retain, each node's origin map (state id to the id of the
     predecessor that wrote it) is kept for reconstruction, with the
     run's state list, the node key ids and the key tuples, and nothing
-    else: no table and no context.  The plugin must be bound to graph
-    itself, since it reads weights from there.
+    else: no table and no context.  Every run keeps each node's table
+    size as an int (DpRunResult.filled) and each bag size's reported
+    bound (DpRunResult.allowed); the NodeStats records are made from
+    them on access.  The plugin must be bound to graph itself, since it
+    reads weights from there.
     """
     if plugin.graph is not graph:
         raise NotApplicableError(
@@ -373,10 +422,10 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     expand = _expander(expand_state, ids, intern)
     table = {0: plugin.initial_value()}
     origins = [] if retain else None
-    stats = []
+    filled = []
     nodes = npd.nodes
 
-    for i, (k, node) in enumerate(zip(node_keys, nodes)):
+    for i, k in enumerate(node_keys):
         key = keys[k]
         actions = key[5]
         left[k] -= 1
@@ -430,9 +479,8 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                         if org is not None:
                             org[nid] = sid
 
-        nv = len(node.order)
         if validate:
-            legal = generate_states(plugin, nv)
+            legal = generate_states(plugin, len(nodes[i].order))
             for nid in nxt:
                 new_state = states[nid]
                 if new_state not in legal:
@@ -446,11 +494,11 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
         table = nxt
         if retain:
             origins.append(org)
-        stats.append(NodeStats(i + 1, node.kind, node.vertex, nv,
-                               allowed_counts[nv], len(table)))
+        filled.append(len(table))
 
-    result = DpRunResult(feasible=False, stats=stats, plugin=plugin,
-                         graph=graph, npd=npd)
+    result = DpRunResult(feasible=False, filled=filled,
+                         allowed=allowed_counts, plugin=plugin, graph=graph,
+                         npd=npd)
     if retain:
         result.node_keys = node_keys
         result.keys = keys
@@ -479,8 +527,9 @@ def reconstruct_solution(result: DpRunResult):
 
     A backward walk follows the origin ids from the winning final state
     to node 1 and collects each node's state id.  A forward walk then
-    remakes each node's context from its node key, without reading the
-    graph, and replays the node from the predecessor's value
+    makes each node's context inline from its node key and the bag it
+    carries along, without reading the graph (the context equals
+    _context's), and replays the node from the predecessor's value
     (_replayer), which picks the action the run took and recomputes the
     value; a final value other than result.value means the plugin's
     expansion has changed since the run.  The (ctx, prev, action, state)
@@ -498,13 +547,17 @@ def reconstruct_solution(result: DpRunResult):
         path.append(org[path[-1]])
     path.reverse()
     replay = _replayer(result)
-    nodes, keys, states = result.npd.nodes, result.keys, result.states
+    keys, states = result.keys, result.states
     chain = []
     value = plugin.initial_value()
-    for i, (k, prev, sid) in enumerate(zip(result.node_keys, path, path[1:])):
-        ctx = _key_context(nodes, i, keys[k])
+    before = ()
+    for i, (k, (_kind, v, order), prev, sid) in enumerate(
+            zip(result.node_keys, result.npd.nodes, path, path[1:])):
+        kind, pos, nbrs, _nv, is_last = keys[k][:5]
+        ctx = NodeCtx(i, kind, v, before, order, pos, nbrs, is_last)
         action, value = replay(i, prev, value, sid, ctx)
         chain.append((ctx, states[prev], action, states[sid]))
+        before = order
     if value != result.value:
         raise PluginInconsistencyError(
             f"{plugin.name} replays the winning chain to value {value}, "

@@ -6,6 +6,9 @@ when a block is absent, so unweighted classics run without boilerplate.
 """
 from __future__ import annotations
 
+from collections import defaultdict
+from operator import lt
+
 from .errors import GraphError, GraphFormatError
 
 
@@ -13,34 +16,52 @@ def _norm_edge(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def _raise_first_edge_fault(n, edges):
+    """Raise GraphError for the first edge, in input order, that is a
+    self-loop, leaves 1..n or repeats an earlier edge."""
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not (1 <= u <= n) or not (1 <= v <= n):
+            raise GraphError(f"edge ({u},{v}) out of range 1..{n}")
+        e = _norm_edge(u, v)
+        if e in seen:
+            raise GraphError(f"duplicate edge ({e[0]},{e[1]})")
+        seen.add(e)
+
+
 class Graph:
-    """Immutable undirected graph with optional integer attributes."""
+    """Immutable undirected graph with optional integer attributes.
+
+    edges holds each edge once as (u, v) with u < v, in sorted order.
+    adjacency maps each vertex with an edge to its neighbors in
+    ascending order; isolated vertices have no entry.
+    """
 
     def __init__(self, n, edges, vertex_weights=None, selection_costs=None,
                  edge_weights=None, edge_penalties=None, coords=None):
         if n < 1:
             raise GraphError(f"vertex count must be >= 1, got {n}")
         self.n = n
-        norm = []
-        seen = set()
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (1 <= u <= n) or not (1 <= v <= n):
-                raise GraphError(f"edge ({u},{v}) out of range 1..{n}")
-            e = _norm_edge(u, v)
-            if e in seen:
-                raise GraphError(f"duplicate edge ({e[0]},{e[1]})")
-            seen.add(e)
-            norm.append(e)
+        edges = list(edges)
+        norm = [(u, v) if u < v else (v, u) for u, v in edges]
+        self._edge_set = frozenset(norm)
+        # all edges checked at once; the per-edge loop runs only to name
+        # the first fault in input order
+        if norm:
+            low, high = zip(*norm)
+            if (len(self._edge_set) != len(norm) or min(low) < 1
+                    or max(high) > n or not all(map(lt, low, high))):
+                _raise_first_edge_fault(n, edges)
         self.edges = tuple(sorted(norm))
-        self._edge_set = frozenset(self.edges)
+        # sorted edges append each vertex's neighbors in ascending order;
         # isolated vertices get no entry, so a huge header costs nothing
-        nbrs = {}
+        adjacency = defaultdict(list)
         for u, v in self.edges:
-            nbrs.setdefault(u, []).append(v)
-            nbrs.setdefault(v, []).append(u)
-        self._neighbors = {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        self.adjacency = {v: tuple(ns) for v, ns in adjacency.items()}
 
         self._vertex_weights = self._check_vmap(vertex_weights, "vertex weight")
         self._selection_costs = self._check_vmap(selection_costs, "selection cost")
@@ -78,7 +99,7 @@ class Graph:
     def neighbors(self, v):
         if not 1 <= v <= self.n:
             raise GraphError(f"vertex {v} out of range 1..{self.n}")
-        return self._neighbors.get(v, ())
+        return self.adjacency.get(v, ())
 
     def degree(self, v):
         return len(self.neighbors(v))
@@ -242,6 +263,7 @@ class PartialGrid:
                 raise GraphError(f"removed edge {a}-{b} joins non-adjacent cells")
             norm.add((a, b) if a < b else (b, a))
         self.removed_edges = frozenset(norm)
+        self._row_major = None
 
     def has_cell(self, r, c):
         return (r, c) in self.present
@@ -253,7 +275,11 @@ class PartialGrid:
             {((a[1], a[0]), (b[1], b[0])) for (a, b) in self.removed_edges})
 
     def cells_row_major(self):
-        return sorted(self.present)
+        """The present cells in row-major order, sorted on first use
+        and kept: the graph and the sweep of one grid both read them."""
+        if self._row_major is None:
+            self._row_major = tuple(sorted(self.present))
+        return self._row_major
 
     def __eq__(self, other):
         if not isinstance(other, PartialGrid):
@@ -274,14 +300,15 @@ def grid_to_graph(grid):
     """
     cells = grid.cells_row_major()
     vid = {cell: i for i, cell in enumerate(cells, start=1)}
+    find = vid.get
+    removed = grid.removed_edges
     edges = []
-    for (r, c) in cells:
-        for (r2, c2) in ((r, c + 1), (r + 1, c)):
-            if (r2, c2) in grid.present:
-                e = ((r, c), (r2, c2))
-                if e not in grid.removed_edges:
-                    edges.append((vid[(r, c)], vid[(r2, c2)]))
-    return Graph(len(cells), edges, coords={i: cell for cell, i in vid.items()})
+    for u, (r, c) in enumerate(cells, start=1):
+        for nb in ((r, c + 1), (r + 1, c)):
+            v = find(nb)
+            if v is not None and not (removed and ((r, c), nb) in removed):
+                edges.append((u, v))
+    return Graph(len(cells), edges, coords=dict(enumerate(cells, start=1)))
 
 
 def parse_grid(text):

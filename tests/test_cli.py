@@ -8,6 +8,10 @@ import pytest
 
 import pwdp.cli
 from pwdp.cli import main
+from pwdp.decomposition import grid_sweep_decomposition
+from pwdp.engine import catalan_allowed, run_dp
+from pwdp.graph import grid_to_graph, parse_grid
+from pwdp.plugins import make_plugin
 
 P4 = "graph 4 3\ne 1 2\ne 2 3\ne 3 4\n"
 K3 = "graph 3 3\ne 1 2\ne 1 3\ne 2 3\n"
@@ -364,3 +368,42 @@ def test_readme_shell_quick_start(tmp_path, capsys):
     printed = out.splitlines()
     assert printed[-1].startswith("time ")
     assert printed[:-1] == documented
+
+
+PROBLEMS = ("coloring", "coloring-canonical", "penalty-coloring",
+            "path-cover", "cycle-cover", "k-replica", "max-leaf-tree",
+            "min-maximal-matching", "avg-path", "mwis", "rect-cover")
+
+
+@pytest.mark.parametrize("problem, flags", [
+    *[(p, ()) for p in PROBLEMS],
+    *[(p, ("--reconstruct", "--dump-tables")) for p in PROBLEMS],
+    ("path-cover", ("--prune-catalan",)),
+    ("cycle-cover", ("--prune-catalan",))])
+def test_stats_line_reads_node_records(tmp_path, capsys, problem, flags):
+    """The stats line reads the per-node counts, and says what the
+    NodeStats records of the same run say."""
+    text = "grid 4 4\n....\n.X..\n....\n....\nremoveedge 1 1 1 2\n"
+    path = write(tmp_path, "holed.grid", text)
+    params = ["-C", "3", "-k", "2", "-L", "1", "-U", "3",
+              "--piece", "1x2", "--piece", "2x1", "--piece", "1x1"]
+    code, out, _ = run(capsys, "solve", problem, "--grid", path, *params,
+                       *flags)
+    assert code in (0, 2)
+    grid = parse_grid(text)
+    g = grid_to_graph(grid)
+    params = dict(C=3, k=2, L=1, U=3, grid=grid,
+                  pieces=[(1, 2), (2, 1), (1, 1)])
+    plugin = make_plugin(problem, g, **params)
+    if problem == "rect-cover":
+        npd, _ = grid_sweep_decomposition(grid, transpose=False, widen=True)
+    else:
+        npd, _ = grid_sweep_decomposition(grid)
+    allowed = (catalan_allowed(plugin, npd) if "--prune-catalan" in flags
+               else None)
+    stats = run_dp(plugin, g, npd, allowed=allowed).stats
+    line = (f"stats nodes {len(stats)} "
+            f"max-allowed {max(s.allowed for s in stats)} "
+            f"max-filled {max(s.filled for s in stats)}")
+    assert [ln for ln in out.splitlines() if ln.startswith("stats ")] == [
+        line]

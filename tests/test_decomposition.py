@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,9 +8,11 @@ from pwdp.decomposition import (
     exact_pathwidth_decomposition, grid_sweep_decomposition, nicify,
     parse_decomposition,
 )
-from pwdp.engine import build_contexts
+from pwdp.engine import _context, build_contexts
 from pwdp.errors import DecompositionError, GraphFormatError, SizeLimitError
-from pwdp.graph import Graph, parse_graph, parse_grid, grid_to_graph
+from pwdp.graph import (
+    Graph, PartialGrid, grid_to_graph, parse_graph, parse_grid,
+)
 
 
 def path_graph(n):
@@ -355,3 +359,116 @@ def test_single_check_matches_definition(case):
         PathDecomposition([nd.order for nd in npd.nodes]), g))
     assert kind_of(npd.validate, g) == nice_want
     assert kind_of(build_contexts, g, npd) == nice_want
+
+
+def seeded_partial_grid(rows, cols, seed):
+    """A rows x cols grid with a fifth of its cells missing (at least
+    one) and a fifth of the remaining edges removed (at least one, where
+    there is an edge), drawn from seed."""
+    rng = random.Random(seed)
+    every = [(r, c) for r in range(rows) for c in range(cols)]
+    holes = set(rng.sample(every, max(1, len(every) // 5)))
+    cells = {cell for cell in every if cell not in holes}
+    joins = sorted((a, b) for a in cells for b in ((a[0], a[1] + 1),
+                                                 (a[0] + 1, a[1]))
+                   if b in cells)
+    removed = rng.sample(joins, max(1, len(joins) // 5)) if joins else []
+    return PartialGrid(rows, cols, cells, removed)
+
+
+GRIDS = [seeded_partial_grid(rows, cols, seed) for seed, (rows, cols)
+         in enumerate([(2, 9), (3, 5), (5, 3), (4, 4), (1, 7), (6, 2)])]
+
+
+def band_graph_and_bags(n, width, seed):
+    """A seeded band graph on n vertices and its windows of width
+    vertices, so every edge (u, u + d), d < width, sits in a bag."""
+    rng = random.Random(seed)
+    edges = [(u, u + d) for u in range(1, n) for d in range(1, width)
+             if u + d <= n and (d == 1 or rng.random() < 0.5)]
+    return Graph(n, edges), PathDecomposition(
+        [range(i, i + width) for i in range(1, n - width + 2)])
+
+
+def small_random_graph(n, seed):
+    rng = random.Random(seed)
+    return Graph(n, [(u, v) for u in range(1, n + 1)
+                     for v in range(u + 1, n + 1) if rng.random() < 0.35])
+
+
+def decompositions():
+    """(label, graph, nice decomposition) from every builder: the grid
+    sweep in its auto, transposed, untransposed and widened forms on
+    seeded partial grids, nicify on the sweeps' bags and on bands, and
+    the exact search on small random graphs."""
+    out = []
+    for seed, grid in enumerate(GRIDS):
+        g = grid_to_graph(grid)
+        for transpose in ("auto", True, False):
+            for widen in (False, True):
+                npd, _ = grid_sweep_decomposition(grid, transpose, widen)
+                out.append((f"sweep-{seed}-{transpose}-{widen}", g, npd))
+        npd, _ = grid_sweep_decomposition(grid)
+        out.append((f"nicify-sweep-{seed}", g,
+                    nicify(npd.to_path_decomposition(), g)))
+    for seed in range(4):
+        g, pd = band_graph_and_bags(12 + 5 * seed, 2 + seed, seed)
+        out.append((f"nicify-band-{seed}", g, nicify(pd, g)))
+    for seed in range(6):
+        g = small_random_graph(3 + seed, seed)
+        out.append((f"exact-{seed}", g, exact_pathwidth_decomposition(g)[0]))
+    return out
+
+
+DECOMPOSITIONS = decompositions()
+
+
+class TestStructureWalk:
+    """The nice form records each forget's bag position while it checks
+    its nodes, and build_contexts walks the nodes once on those
+    positions and the graph's adjacency; _context, which makes one node
+    from the graph alone, is the reference."""
+
+    @pytest.mark.parametrize("label, g, npd", DECOMPOSITIONS,
+                             ids=[d[0] for d in DECOMPOSITIONS])
+    def test_positions_are_forget_indices(self, label, g, npd):
+        nodes = npd.nodes
+        assert len(npd.positions) == len(nodes)
+        for i, (kind, v, _order) in enumerate(nodes):
+            want = None if kind == INTRODUCE else nodes[i - 1].order.index(v)
+            assert npd.positions[i] == want
+
+    @pytest.mark.parametrize("label, g, npd", DECOMPOSITIONS,
+                             ids=[d[0] for d in DECOMPOSITIONS])
+    def test_walk_equals_per_node_contexts(self, label, g, npd):
+        walked = list(build_contexts(g, npd))
+        assert walked == [_context(g, npd, i) for i in range(len(npd.nodes))]
+
+    def test_grids_cover_every_sweep_form(self):
+        # auto sweeps both ways, and every grid has holes and removed edges
+        assert {grid_sweep_decomposition(grid)[1] for grid in GRIDS} == {
+            True, False}
+        assert all(grid.removed_edges for grid in GRIDS)
+        assert all(len(grid.present) < grid.rows * grid.cols
+                   for grid in GRIDS)
+
+    @pytest.mark.parametrize("nodes, message", [
+        ([(INTRODUCE, 1, (1,)), (INTRODUCE, 2, (1, 2)),
+          (INTRODUCE, 3, (1, 2, 3)), (FORGET, 2, (3, 1))],
+         "node 4 reorders survivors"),
+        ([(INTRODUCE, 1, (1,)), (INTRODUCE, 2, (1, 2)), (FORGET, 1, ())],
+         "node 3 reorders survivors"),
+        ([(INTRODUCE, 1, (1,)), (FORGET, 2, (1,))],
+         "node 2 forgets absent vertex 2"),
+        ([(INTRODUCE, 1, (1,)), (INTRODUCE, 2, (2, 1))],
+         "node 2 order does not append 2"),
+        ([(INTRODUCE, 1, (1,)), (FORGET, 1, ()), (INTRODUCE, 1, (1,))],
+         "vertex 1 introduced twice"),
+        ([(INTRODUCE, 1, (1,)), ("swap", 1, (1,))], "unknown kind 'swap'"),
+        ([(INTRODUCE, 1, (1,))], "final bag not empty"),
+    ])
+    def test_hand_made_faults_keep_their_messages(self, nodes, message):
+        with pytest.raises(DecompositionError) as ei:
+            NicePathDecomposition([NiceNode(*node) for node in nodes])
+        assert ei.value.kind == "bad-structure"
+        assert str(ei.value) == f"bad-structure: {message}"

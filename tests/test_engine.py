@@ -10,8 +10,8 @@ from pwdp.decomposition import (
     exact_pathwidth_decomposition, grid_sweep_decomposition,
 )
 from pwdp.engine import (
-    NodeCtx, _context, _key_context, build_contexts, catalan_allowed,
-    crosses, generate_states, reconstruct_solution, run_dp,
+    NodeCtx, NodeStats, _context, _key_context, build_contexts,
+    catalan_allowed, crosses, generate_states, reconstruct_solution, run_dp,
 )
 from pwdp.errors import (
     CapacityError, DecompositionError, NotApplicableError,
@@ -632,6 +632,80 @@ class TestKeyContexts:
         assert ok and objective == res.objective
         assert len(res.tables) == len(npd.nodes)
         assert calls == []
+
+
+class NoIterStates(list):
+    """A state list that may be indexed but not walked."""
+
+    def __iter__(self):
+        raise AssertionError("the run's state list was iterated")
+
+
+class TestReplayReadsStatesById:
+    """Reconstruction and the tables property look states up by id and
+    never walk the run's whole state list."""
+
+    @pytest.mark.parametrize("name, mode", EVERY_PLUGIN)
+    def test_replay_never_iterates_states(self, name, mode):
+        plugin, g, npd = weighted_instance(name, mode)
+        res = run_dp(plugin, g, npd, retain=True)
+        certificate, tables = reconstruct_solution(res), res.tables
+        count = len(res.states)
+        res.states = NoIterStates(res.states)
+        assert reconstruct_solution(res) == certificate
+        assert res.tables == tables
+        # and the replay adds no state to the run's list
+        assert len(res.states) == count
+
+
+class TestNodeStats:
+    """run_dp keeps one filled count per node; stats makes the NodeStats
+    records from the counts, the nodes and the bag-size bounds."""
+
+    @staticmethod
+    def expected(plugin, npd, filled, allowed=None):
+        allowed = allowed or {}
+        return [(i, node.kind, node.vertex, len(node.order),
+                 allowed.get(len(node.order),
+                             plugin.count_states(len(node.order))), f)
+                for i, (node, f) in enumerate(zip(npd.nodes, filled),
+                                              start=1)]
+
+    @pytest.mark.parametrize("name, mode", EVERY_PLUGIN)
+    def test_fields_from_nodes_counts_and_tables(self, name, mode):
+        plugin, g, npd = weighted_instance(name, mode)
+        res = run_dp(plugin, g, npd, retain=True)
+        sizes = [len(table) for table in res.tables]
+        assert res.filled == sizes
+        assert [tuple(st) for st in res.stats] == self.expected(
+            plugin, npd, sizes)
+        assert all(isinstance(st, NodeStats) for st in res.stats)
+        plain = run_dp(plugin, g, npd)
+        assert not plain.retained
+        assert plain.stats == res.stats
+        assert plain.filled == sizes
+
+    @pytest.mark.parametrize("name, mode", EVERY_PLUGIN)
+    def test_allowed_bounds_replace_counts(self, name, mode):
+        plugin, g, npd = weighted_instance(name, mode)
+        bounds = {1: 10**6, 3: 10**7}
+        res = run_dp(plugin, g, npd, allowed=bounds)
+        assert [tuple(st) for st in res.stats] == self.expected(
+            plugin, npd, res.filled, bounds)
+        assert res.allowed == {
+            len(node.order): bounds.get(len(node.order),
+                                        plugin.count_states(len(node.order)))
+            for node in npd.nodes}
+
+    def test_catalan_bound_in_stats(self):
+        grid = full_grid(4, 4)
+        g = grid_to_graph(grid)
+        npd, _ = grid_sweep_decomposition(grid)
+        plugin = make_plugin("path-cover", g)
+        bounds = catalan_allowed(plugin, npd)
+        res = run_dp(plugin, g, npd, allowed=bounds)
+        assert [tuple(st) for st in res.stats] == self.expected(
+            plugin, npd, res.filled, bounds)
 
 
 class TestNoCyclicGarbage:

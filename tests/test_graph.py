@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -200,3 +201,98 @@ def test_partial_grid_constructor_validates():
         PartialGrid(2, 2, set())
     with pytest.raises(GraphError):
         PartialGrid(2, 2, {(2, 0)})
+
+
+def first_edge_fault(n, edges):
+    """The message of the first faulty edge in input order, checked one
+    edge at a time: None when every edge is sound."""
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if not (1 <= u <= n and 1 <= v <= n):
+            return f"edge ({u},{v}) out of range 1..{n}"
+        e = (min(u, v), max(u, v))
+        if e in seen:
+            return f"duplicate edge ({e[0]},{e[1]})"
+        seen.add(e)
+    return None
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(1, 2), (2, 2)], "self-loop at vertex 2"),
+    (3, [(1, 2), (5, 5)], "self-loop at vertex 5"),
+    (3, [(1, 2), (3, 4)], "edge (3,4) out of range 1..3"),
+    (3, [(2, 3), (0, 1)], "edge (0,1) out of range 1..3"),
+    (3, [(1, 2), (2, 3), (2, 1)], "duplicate edge (1,2)"),
+    (3, [(3, 2), (1, 2), (2, 3)], "duplicate edge (2,3)"),
+    # mixes: the first fault in input order wins
+    (4, [(1, 2), (2, 1), (3, 3)], "duplicate edge (1,2)"),
+    (4, [(3, 3), (1, 2), (2, 1)], "self-loop at vertex 3"),
+    (3, [(1, 5), (1, 2), (2, 1)], "edge (1,5) out of range 1..3"),
+    (3, [(1, 2), (2, 1), (1, 5)], "duplicate edge (1,2)"),
+    (3, [(2, 2), (0, 9)], "self-loop at vertex 2"),
+])
+def test_graph_names_first_faulty_edge(n, edges, message):
+    assert first_edge_fault(n, edges) == message
+    with pytest.raises(GraphError) as ei:
+        Graph(n, edges)
+    assert str(ei.value) == message
+    # any iterable of edges, read once
+    with pytest.raises(GraphError) as ei:
+        Graph(n, iter(edges))
+    assert str(ei.value) == message
+
+
+def test_graph_faults_match_edge_by_edge_check():
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        edges = [(rng.randint(0, n + 1), rng.randint(0, n + 1))
+                 for _ in range(rng.randint(0, 8))]
+        want = first_edge_fault(n, edges)
+        if want is None:
+            g = Graph(n, edges)
+            assert g.edges == tuple(sorted({(min(e), max(e)) for e in edges}))
+            continue
+        with pytest.raises(GraphError) as ei:
+            Graph(n, edges)
+        assert str(ei.value) == want
+
+
+def test_adjacency_lists_neighbors_in_ascending_order():
+    edges = [(5, 1), (2, 5), (5, 4), (3, 1), (4, 2)]
+    g = Graph(6, edges)
+    for v in g.vertices():
+        want = tuple(sorted({b for a, b in edges if a == v}
+                            | {a for a, b in edges if b == v}))
+        assert g.neighbors(v) == want
+        assert g.adjacency.get(v, ()) == want
+    assert 6 not in g.adjacency
+
+
+def graph_cell_by_cell(grid):
+    """The graph of a partial grid, built pair by pair from its cells."""
+    cells = sorted(grid.present)
+    vid = {cell: i for i, cell in enumerate(cells, start=1)}
+    edges = [(vid[a], vid[b]) for a in cells for b in cells
+             if a < b and abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
+             and (a, b) not in grid.removed_edges]
+    return Graph(len(cells), edges, coords={i: c for c, i in vid.items()})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_grid_to_graph_matches_cell_by_cell_build(seed):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    every = [(r, c) for r in range(rows) for c in range(cols)]
+    cells = set(rng.sample(every, max(1, len(every) - len(every) // 4)))
+    joins = [(a, b) for a in sorted(cells)
+             for b in ((a[0], a[1] + 1), (a[0] + 1, a[1])) if b in cells]
+    grid = PartialGrid(rows, cols, cells,
+                       rng.sample(joins, len(joins) // 4))
+    got, want = grid_to_graph(grid), graph_cell_by_cell(grid)
+    assert got == want
+    assert got.edges == want.edges
+    assert got.coords == want.coords
+    assert got.adjacency == want.adjacency
