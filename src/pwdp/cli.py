@@ -12,10 +12,8 @@ import functools
 import gc
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
-from . import oracle as oracle_mod
 from .decomposition import (
     exact_pathwidth_decomposition, grid_sweep_decomposition, nicify,
     parse_decomposition,
@@ -181,7 +179,10 @@ def _resolve_decomp(args, graph, grid):
 
 
 def _print_objective(obj):
-    if isinstance(obj, Fraction):
+    # a Fraction exists only once its module is loaded, so the check
+    # needs no import of its own
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(obj, fractions.Fraction):
         print(f"objective {obj.numerator}/{obj.denominator} (~{float(obj):.6f})")
     else:
         print(f"objective {obj}")
@@ -223,9 +224,11 @@ def _cmd_solve(args):
 
 
 def _cmd_oracle(args):
+    from .oracle import oracle_solve  # only this command runs the oracle
+
     _plugin, graph, grid, params = _load_problem(args)
     instance = grid if args.problem == "rect-cover" else graph
-    res = oracle_mod.oracle_solve(args.problem, instance, params)
+    res = oracle_solve(args.problem, instance, params)
     if not res.feasible:
         print("infeasible")
         return EXIT_INFEASIBLE

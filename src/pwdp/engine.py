@@ -36,7 +36,6 @@ NodeStats records are made from those counts when asked for.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import gt, lt
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -163,7 +162,6 @@ class NodeStats(NamedTuple):
     filled: int
 
 
-@dataclass
 class DpRunResult:
     """The outcome of run_dp.
 
@@ -181,21 +179,30 @@ class DpRunResult:
     decode the ids on access to the state objects in states; the tables
     themselves are not kept, the tables property replays them.
     """
-    feasible: bool
-    value: object = None          # raw table value of the winning state
-    objective: object = None      # final_value of the winning state
-    final_state: tuple = None
-    filled: List[int] = field(default_factory=list)
-    allowed: Dict[int, int] = field(default_factory=dict)
-    plugin: object = None
-    graph: object = None
-    npd: object = None
-    node_keys: Optional[list] = None
-    keys: Optional[list] = None
-    states: Optional[list] = None
-    origin_ids: Optional[list] = None
-    final_id: Optional[int] = None
-    certificate: object = None    # filled by the solver facade when retained
+    def __init__(self, feasible: bool, value: object = None,
+                 objective: object = None, final_state: tuple = None,
+                 filled: Optional[List[int]] = None,
+                 allowed: Optional[Dict[int, int]] = None,
+                 plugin: object = None, graph: object = None,
+                 npd: object = None, node_keys: Optional[list] = None,
+                 keys: Optional[list] = None, states: Optional[list] = None,
+                 origin_ids: Optional[list] = None,
+                 final_id: Optional[int] = None, certificate: object = None):
+        self.feasible = feasible
+        self.value = value            # raw table value of the winning state
+        self.objective = objective    # final_value of the winning state
+        self.final_state = final_state
+        self.filled = [] if filled is None else filled
+        self.allowed = {} if allowed is None else allowed
+        self.plugin = plugin
+        self.graph = graph
+        self.npd = npd
+        self.node_keys = node_keys
+        self.keys = keys
+        self.states = states
+        self.origin_ids = origin_ids
+        self.final_id = final_id
+        self.certificate = certificate  # set by the solver facade when retained
 
     @property
     def stats(self) -> List[NodeStats]:

@@ -24,6 +24,7 @@ class MaxLeafTreeProblem(ProblemDefinition):
         super().__init__(graph)
         if graph.n < 2:
             raise NotApplicableError("spanning-tree objective needs n > 1")
+        self._counts = [1]  # count_states by bag size, extended on demand
 
     def enumerate_states(self, nv):
         # deg 0 only for vertices alone in their component within the bag
@@ -44,8 +45,8 @@ class MaxLeafTreeProblem(ProblemDefinition):
     def count_states(self, nv):
         # exponential formula over the class of the last vertex: a class
         # of one has 3 degree choices, a class of k > 1 has 2 ** k
-        a = [1]
-        for n in range(1, nv + 1):
+        a = self._counts
+        for n in range(len(a), nv + 1):
             a.append(sum(comb(n - 1, k - 1) * (3 if k == 1 else 2 ** k)
                          * a[n - k] for k in range(1, n + 1)))
         return a[nv]

@@ -4,10 +4,13 @@ The expected numbers were produced by the brute-force checkers in
 pwdp.oracle and are written out literally so these tests stay
 independent of the oracle code paths.
 """
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from pwdp.cli import main as cli_main
 from pwdp.decomposition import (
     PathDecomposition, exact_pathwidth_decomposition, grid_sweep_decomposition,
     nicify,
@@ -358,6 +361,34 @@ def test_closed_form_count_matches_enumeration(name, params):
 def test_bag9_count_matches_enumerated_value(name, params, states):
     # from a full enumeration, which takes 20-35 s for these bags
     assert make_plugin(name, path_graph(12), **params).count_states(9) == states
+
+
+def max_leaf_tree_count(nv):
+    """count_states of max-leaf-tree as first written: the whole
+    recurrence from a bag of 0 on each call."""
+    a = [1]
+    for n in range(1, nv + 1):
+        a.append(sum(comb(n - 1, k - 1) * (3 if k == 1 else 2 ** k)
+                     * a[n - k] for k in range(1, n + 1)))
+    return a[nv]
+
+
+def test_max_leaf_tree_count_extends_one_sequence():
+    plugin = make_plugin("max-leaf-tree", path_graph(2))
+    # the largest bag first, then the rest out of order
+    sizes = [40, *range(0, 41, 7), *range(39, -1, -2), *range(41)]
+    assert [plugin.count_states(nv) for nv in sizes] == [
+        max_leaf_tree_count(nv) for nv in sizes]
+
+
+def test_states_max_leaf_tree_large_bag_is_fast(capsys):
+    # every bag size up to nv recomputed the recurrence from scratch,
+    # so --nv 400 took 24 s
+    start = time.perf_counter()
+    assert cli_main(["states", "max-leaf-tree", "--nv", "400"]) == 0
+    assert time.perf_counter() - start < 2.0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"nv 400 states {max_leaf_tree_count(400)}"
 
 
 @pytest.mark.parametrize("name, nv, states", [
