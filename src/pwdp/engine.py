@@ -10,36 +10,34 @@ writer, which fixes the reconstruction origin deterministically.
 
 A run works on state ids, not state tuples.  The first time a canonical
 state is produced it gets the next small int and joins the run's state
-list; one dict maps every canonical state, and every raw expansion
-result seen so far, to its id.  So normalize runs once per distinct raw
-tuple per run, and tables, memo moves and origins hash ints.  The dict
-is dropped when the run returns; only the state list is kept.
+list; one dict maps every canonical state, and every raw next state
+seen so far, to its id.  So normalize runs once per distinct raw tuple
+per run, and tables, memo moves and origins hash ints.  The dict is
+dropped when the run returns; only the state list is kept.
 
-Nodes that share a key (node shape, action list and the plugin's
-value_key) expand a state to the same next states with the same value
-changes.  One walk over the nodes (build_contexts) makes each node's
-context from the running bag, the forget positions the decomposition
-recorded and the graph's adjacency, and gives each node its key id;
-from then on the engine works from those ids and never reads the
-graph's adjacency again.  The DP loop computes each state's
-moves once per key, replays them at the key's later nodes, and remakes
-a node's context from its key and bags (_key_context) only when it has
-to expand something.
+A plugin moves a state in two halves (plugins/base.py): transition
+reads only the node's shape, gain the node's own weights.  One walk over
+the nodes (build_contexts) makes each node's context from the running
+bag, the recorded forget positions and the graph's adjacency, and gives
+each node its key id, from its shape and action list.  After it the
+engine never reads the adjacency again; it remakes a node's context
+from its key and bags (_key_context) only where it calls gain or
+expands.
 
 With retain, each node keeps only its origin map, from each state id to
 the id of the predecessor that last wrote it, and the run keeps its
 state list, key ids and key tuples.  Values are not kept: _replayer()
 walks the origins forward again and recomputes them, for reconstruction
-and for DpRunResult.tables, expanding each (key, predecessor) pair once.
-Every run keeps one int per node, its table size; the per-node
-NodeStats records are made from those counts when asked for.
+and for DpRunResult.tables.  Every run keeps one int per node, its
+table size; the per-node NodeStats records are made from those counts
+when asked for.
 """
 from __future__ import annotations
 
-from operator import gt, lt
+from operator import attrgetter, gt, lt
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .decomposition import INTRODUCE, NicePathDecomposition
+from .decomposition import NicePathDecomposition
 from .errors import (
     CapacityError, NotApplicableError,
     PluginInconsistencyError, ReconstructionUnavailableError,
@@ -48,25 +46,37 @@ from .graph import Graph
 from .partition import crosses
 
 
-class NodeCtx(NamedTuple):
-    """Everything a plugin may ask about one decomposition node.
+class NodeShape(NamedTuple):
+    """What a transition may read of its node: structure, and no vertex.
 
-    Positions are 0-based indices into order_before.  For an introduce
-    node the new vertex is appended last, so order_before is the bag it
-    joins; nbrs lists the bag positions of its graph neighbors.  For a
+    Positions are 0-based indices into the bag before the node, which
+    has nv vertices.  For an introduce node the new vertex is appended
+    last and nbrs lists the bag positions of its graph neighbors; for a
     forget node pos is where the leaving vertex sits and nbrs lists its
-    neighbors among the other bag members.  Contexts carry structure
-    only: plugins read weights, penalties and costs from their bound
-    graph.
+    neighbors among the other bag members.
     """
-    index: int
     kind: str
-    vertex: int
-    order_before: Tuple[int, ...]
-    order_after: Tuple[int, ...]
     pos: Optional[int]
     nbrs: Tuple[int, ...]
+    nv: int
     is_last: bool
+
+
+class NodeCtx(NamedTuple):
+    """Everything set_of_actions, gain and certificate extraction may
+    ask about one node: its index, vertex, the bag before it and its
+    shape, whose fields read as the context's own (ctx.kind is
+    ctx.shape.kind).  Plugins read weights, penalties and costs from
+    their bound graph."""
+    index: int
+    vertex: int
+    order_before: Tuple[int, ...]
+    shape: NodeShape
+
+    kind = property(attrgetter("shape.kind"))
+    pos = property(attrgetter("shape.pos"))
+    nbrs = property(attrgetter("shape.nbrs"))
+    is_last = property(attrgetter("shape.is_last"))
 
 
 def build_contexts(graph: Graph, npd: NicePathDecomposition
@@ -77,8 +87,8 @@ def build_contexts(graph: Graph, npd: NicePathDecomposition
 
     The walk carries the bag before each node along, takes each forget's
     position from npd.positions (recorded when npd checked its nodes)
-    and reads the neighbors from graph.adjacency; it yields what
-    _context builds node by node.
+    and reads the neighbors from graph.adjacency, with one object per
+    distinct shape.
     """
     npd.validate(graph)
     return _walk_contexts(graph.adjacency, npd.nodes, npd.positions)
@@ -87,39 +97,23 @@ def build_contexts(graph: Graph, npd: NicePathDecomposition
 def _walk_contexts(adjacency, nodes, positions) -> Iterator[NodeCtx]:
     last = len(nodes) - 1
     prev = ()
+    shapes = {}
     for i, (kind, v, order) in enumerate(nodes):
         near = adjacency.get(v, ())
-        nbrs = tuple([j for j, u in enumerate(prev) if u in near])
-        yield NodeCtx(i, kind, v, prev, order, positions[i], nbrs, i == last)
+        fields = (kind, positions[i],
+                  tuple([j for j, u in enumerate(prev) if u in near]),
+                  len(prev), i == last)
+        shape = shapes.get(fields)
+        if shape is None:
+            shape = shapes[fields] = NodeShape(*fields)
+        yield NodeCtx(i, v, prev, shape)
         prev = order
 
 
-def _context(graph: Graph, npd: NicePathDecomposition, i: int) -> NodeCtx:
-    """The context of node i (0-based) of a decomposition already
-    validated against graph, made from the graph alone: the reference
-    that build_contexts' walk must equal at every node.
-
-    The final bag is empty, so nodes[i - 1].order is the bag before node
-    i at i = 0 too.  A vertex is not its own neighbor, so at a forget
-    node nbrs leaves out pos by itself.
-    """
-    nodes = npd.nodes
-    kind, v, order = nodes[i]
-    prev = nodes[i - 1].order
-    near = graph.neighbors(v)
-    nbrs = tuple([j for j, u in enumerate(prev) if u in near])
-    pos = None if kind == INTRODUCE else prev.index(v)
-    return NodeCtx(i, kind, v, prev, order, pos, nbrs, i == len(nodes) - 1)
-
-
 def _key_context(nodes, i: int, key: tuple) -> NodeCtx:
-    """Node i's context remade from its node key, (kind, pos, nbrs, nv,
-    is_last, actions, value_key), and the bags around it: equal to
-    _context's, without reading the graph."""
-    kind, pos, nbrs, _nv, is_last = key[:5]
-    node = nodes[i]
-    return NodeCtx(i, kind, node.vertex, nodes[i - 1].order, node.order,
-                   pos, nbrs, is_last)
+    """Node i's context remade from its node key, (shape, actions), and
+    the bag before it, without reading the graph."""
+    return NodeCtx(i, nodes[i].vertex, nodes[i - 1].order, key[0])
 
 
 def generate_states(plugin, nv: int) -> frozenset:
@@ -174,7 +168,7 @@ class DpRunResult:
     origin_ids, one map per node from each state id of its table to the
     id of the predecessor that wrote it, a key of the map before.  It
     also keeps node_keys, each node's key id, and keys, the key tuples
-    by id (keys[k][5] is the action tuple), so that replays need no key
+    by id, (shape, action tuple), so that replays need no key
     pass and remake contexts without the graph.  origins and tables
     decode the ids on access to the state objects in states; the tables
     themselves are not kept, the tables property replays them.
@@ -237,11 +231,12 @@ class DpRunResult:
         if self.origin_ids is None:
             return None
         replay = _replayer(self)
-        states = self.states
+        states, nodes = self.states, self.npd.nodes
         values = {0: self.plugin.initial_value()}
         tables = []
-        for i, org in enumerate(self.origin_ids):
-            values = {sid: replay(i, pred, values[pred], sid)[1]
+        for i, (k, org) in enumerate(zip(self.node_keys, self.origin_ids)):
+            ctx = _key_context(nodes, i, self.keys[k])
+            values = {sid: replay(i, pred, values[pred], sid, ctx)[1]
                       for sid, pred in org.items()}
             tables.append({states[sid]: value
                            for sid, value in values.items()})
@@ -274,74 +269,98 @@ def _interner(normalize, ids, states):
     return intern
 
 
-def _expander(expand_state, ids, intern):
-    """expand(state, ctx, actions, value) -> [(next, value change)] for
-    each action that applies to state, in action order, where next is
-    ids[new state] when ids holds it and intern(new state) otherwise:
-    the run's state id, or in a replay the canonical state itself."""
-    def expand(state, ctx, actions, value):
+def _value_hooks(plugin):
+    """(gain, additive): plugin.gain, or None where it is the default
+    that returns the tag and reads no weight; and whether combine is
+    the default value + change."""
+    from .plugins.base import ProblemDefinition  # loaded with any plugin
+    own_gain, own_combine = (getattr(getattr(plugin, hook), "__func__", None)
+                             is getattr(ProblemDefinition, hook)
+                             for hook in ("gain", "combine"))
+    return (None if own_gain else plugin.gain), own_combine
+
+
+def _stepper(transition, gain, ids, intern, nodes):
+    """step(state, i, key, memo) -> [(next id, slot)] for each action
+    that applies to state at node i, in action order.  memo is the key's
+    (moves by state, slots, deltas, weighed): slots numbers each
+    distinct (action index, tag), and deltas holds each slot's change
+    at the current node, 0 for the tag None's slot 0.  A new slot's
+    change is its tag when gain is None; otherwise gain gives it, and
+    the slot joins weighed, which the loop re-reads at each node."""
+    def step(state, i, key, memo):
+        shape, actions = key
+        _moves, slots, deltas, weighed = memo
         moves = []
-        for action in actions:
-            new_state, new_value, ok = expand_state(state, ctx, action, value)
-            if ok:
-                nid = ids.get(new_state)
-                if nid is None:
-                    nid = intern(new_state)
-                moves.append((nid, new_value - value))
+        for ai, action in enumerate(actions):
+            out = transition(state, shape, action)
+            if out is None:
+                continue
+            raw, tag = out
+            nid = ids.get(raw)
+            if nid is None:
+                nid = intern(raw)
+            slot = 0 if tag is None else slots.get((ai, tag))
+            if slot is None:
+                slot = slots[ai, tag] = len(deltas)
+                if gain is None:
+                    deltas.append(tag)
+                else:
+                    ctx = _key_context(nodes, i, key)
+                    deltas.append(gain(ctx, action, tag))
+                    weighed.append((slot, action, tag))
+            moves.append((nid, slot))
         return moves
-    return expand
+    return step
 
 
 def _replayer(result: DpRunResult):
-    """replay(i, pred, value, state, ctx=None) -> (action, new value) for
-    the first action from state id pred at node i, in action order,
-    whose next state is states[state] and whose new value is best by the
-    plugin's direction.
+    """replay(i, pred, value, state, ctx) -> (action, new value) for the
+    first action from state id pred at node i, whose context is ctx, in
+    action order, whose next state is states[state] and whose new value
+    is best by the plugin's direction.
 
     When pred is state's origin and value is pred's table value, this is
     the action that wrote state's final table entry and that entry's
     value: the first writer among the candidates that reached the best
-    value, since a later equal candidate never overwrites.  Each
-    (key, pred) pair is expanded once, on the node context given or
-    remade then from the node key (_key_context; the graph is not
-    read), into (action, next canonical state, value change) moves that
-    the key's other nodes reuse, as the run's memo does (its moves leave
-    the action out, which keeps the larger memo small); a key that names
-    its node (penalty-coloring's max mode) shares no moves.  A replay
-    reads states only by id: it normalizes through its own raw ->
-    canonical cache and compares canonical states, which are equal
+    value, since a later equal candidate never overwrites.  The
+    transitions of each (key, pred) pair are computed once, as the
+    run's memo does, and each value from gain at node i itself.  A
+    replay reads states only by id: it normalizes through its own raw
+    -> canonical cache and compares canonical states, which are equal
     exactly when their ids are.
     """
     plugin = result.plugin
-    nodes = result.npd.nodes
     node_keys, keys = result.node_keys, result.keys
     states = result.states
+    transition, gain, combine = plugin.transition, plugin.gain, plugin.combine
     normalize = plugin.normalize
     canonical = {}
-
-    def canonicalize(raw):
-        canon = canonical[raw] = normalize(raw)
-        return canon
-
-    expand = _expander(plugin.expand_state, canonical, canonicalize)
     better = _better(plugin)
     cache = {}
 
-    def replay(i, pred, value, state, ctx=None):
+    def replay(i, pred, value, state, ctx):
         k = node_keys[i]
         moves = cache.get((k, pred))
         if moves is None:
-            if ctx is None:
-                ctx = _key_context(nodes, i, keys[k])
+            shape, actions = keys[k]
             before = states[pred]
-            moves = cache[k, pred] = [
-                (action, canon, delta) for action in keys[k][5]
-                for canon, delta in expand(before, ctx, (action,), value)]
+            moves = cache[k, pred] = []
+            for action in actions:
+                out = transition(before, shape, action)
+                if out is not None:
+                    raw, tag = out
+                    canon = canonical.get(raw)
+                    if canon is None:
+                        canon = canonical[raw] = normalize(raw)
+                    moves.append((action, canon, tag))
         target = states[state]
         best = None
-        for action, canon, delta in moves:
+        for action, canon, tag in moves:
             if canon == target:
-                new_value = value + delta
+                new_value = value
+                if tag is not None:
+                    new_value = combine(value, gain(ctx, action, tag))
                 if best is None or better(new_value, best[1]):
                     best = (action, new_value)
         if best is None:
@@ -359,40 +378,37 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
            validate: bool = False) -> DpRunResult:
     """Run the generic DP loop and select the best valid final state.
 
-    Each node expands every predecessor state under every action in
-    order, normalizes the result and merges it into the next table.
-    Tables are keyed by state id: each canonical state is interned the
-    first time it is produced, and each raw expansion result is
-    normalized once per run, its id cached in the same dict.  A key
-    pass over the graph-built node contexts first gives each node its
-    key id.  A node whose key recurs at a later node keeps each state's
-    moves (next state id, value change) in a memo, made at the key's
-    first node; the later nodes replay them without calling
-    expand_state or normalize, and the memo is dropped after the key's
-    last node.  The loop walks the key ids and remakes a node's context
-    from its key only when it expands: at a key that occurs once, on a
-    memo miss, or under validate.
+    Each node moves every predecessor state under every action in
+    order, normalizes the result and merges it into the next table.  A
+    key pass first gives each node its key id, (shape, actions).  At a
+    key that recurs, each state's transitions are computed with
+    plugin.transition at the first node that meets the state and
+    reused at the key's later nodes, with no transition or normalize
+    call; the key's memo is dropped after its last node.  Value changes
+    are read at every node: gain once per distinct (action, tag) the
+    key has met, unless the plugin keeps the default gain, whose tag
+    is the change.  A key that occurs once, and every node of a plugin
+    whose combine is not value + change, expands each candidate
+    straight through plugin.expand_state.
     plugin.direction must be 'min' or 'max' (PluginInconsistencyError
     otherwise); it alone ranks values.
     allowed maps bag size to the noncrossing bound (catalan_allowed),
     reported and capacity-checked in place of count_states.  With
     validate, every produced state must lie in the enumerated canonical
-    set (generate_states) and, when allowed is given, must not cross,
-    and every replayed state is expanded afresh and must give the same
-    moves, which catches a value_key that leaves out a weight.  With
-    retain, each node's origin map (state id to the id of the
+    set (generate_states) and, when allowed is given, must not cross.
+    With retain, each node's origin map (state id to the id of the
     predecessor that wrote it) is kept for reconstruction, with the
     run's state list, the node key ids and the key tuples, and nothing
     else: no table and no context.  Every run keeps each node's table
-    size as an int (DpRunResult.filled) and each bag size's reported
-    bound (DpRunResult.allowed); the NodeStats records are made from
-    them on access.  The plugin must be bound to graph itself, since it
-    reads weights from there.
+    size (DpRunResult.filled) and each bag size's reported bound
+    (DpRunResult.allowed).  The plugin must be bound to graph itself,
+    since gain reads weights from there.
     """
     if plugin.graph is not graph:
         raise NotApplicableError(
             f"{plugin.name} plugin is bound to another graph")
     better = _better(plugin)
+    gain, additive = _value_hooks(plugin)
     allowed = allowed or {}
     allowed_counts = {}
     for node in npd.nodes:
@@ -404,15 +420,13 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                                     f"over the capacity of {capacity}")
             allowed_counts[nv] = count
 
-    # expand_state reads only these parts of a node, and the value
-    # change only the weights in value_key, so nodes with equal keys
-    # expand every state alike; left counts each key's nodes still to come
+    # a transition reads only the node's shape and its action, so nodes
+    # with equal keys move every state alike; left counts each key's
+    # nodes still to come
     key_ids = {}
     node_keys = []
     for ctx in build_contexts(graph, npd):
-        actions = tuple(plugin.set_of_actions(ctx))
-        key = (ctx.kind, ctx.pos, ctx.nbrs, len(ctx.order_before),
-               ctx.is_last, actions, plugin.value_key(ctx))
+        key = (ctx.shape, tuple(plugin.set_of_actions(ctx)))
         node_keys.append(key_ids.setdefault(key, len(key_ids)))
     keys = list(key_ids)
     left = [0] * len(keys)
@@ -426,27 +440,28 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     states = [plugin.empty_state()]
     ids = {states[0]: 0}
     intern = _interner(plugin.normalize, ids, states)
-    expand = _expander(expand_state, ids, intern)
+    nodes = npd.nodes
+    step = _stepper(plugin.transition, gain, ids, intern, nodes)
     table = {0: plugin.initial_value()}
     origins = [] if retain else None
     filled = []
-    nodes = npd.nodes
 
     for i, k in enumerate(node_keys):
         key = keys[k]
-        actions = key[5]
         left[k] -= 1
-        if left[k]:
+        if additive and left[k]:
             memo = memos.get(k)
-            if memo is None:
-                memo = memos[k] = {}
+            if memo is None:  # moves by state, slots, deltas, weighed
+                memo = memos[k] = ({}, {}, [0], [])
         else:
             memo = memos.pop(k, None)
         nxt = {}
         org = {} if retain else None
         if memo is None:
-            # a key no later node carries: expand straight into nxt
+            # a key no later node carries, or a change that is not
+            # value + delta: expand straight into nxt
             ctx = _key_context(nodes, i, key)
+            actions = key[1]
             for sid, value in table.items():
                 state = states[sid]
                 for action in actions:
@@ -463,23 +478,18 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                         if org is not None:
                             org[nid] = sid
         else:
-            ctx = _key_context(nodes, i, key) if validate else None
+            moves_of, _slots, deltas, weighed = memo
+            if weighed:
+                # weights are read afresh at every node
+                ctx = _key_context(nodes, i, key)
+                for slot, action, tag in weighed:
+                    deltas[slot] = gain(ctx, action, tag)
             for sid, value in table.items():
-                moves = memo.get(sid)
+                moves = moves_of.get(sid)
                 if moves is None:
-                    if ctx is None:
-                        ctx = _key_context(nodes, i, key)
-                    moves = memo[sid] = expand(states[sid], ctx, actions,
-                                               value)
-                elif validate and moves != expand(states[sid], ctx, actions,
-                                                  value):
-                    raise PluginInconsistencyError(
-                        f"{plugin.name} expands state {states[sid]} at node "
-                        f"{i + 1} unlike an earlier node with the "
-                        f"same key: value_key misses a weight the value "
-                        f"change reads")
-                for nid, delta in moves:
-                    new_value = value + delta
+                    moves = moves_of[sid] = step(states[sid], i, key, memo)
+                for nid, slot in moves:
+                    new_value = value + deltas[slot]
                     old = nxt.get(nid)
                     if old is None or better(new_value, old):
                         nxt[nid] = new_value
@@ -530,18 +540,18 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
 
 
 def reconstruct_solution(result: DpRunResult):
-    """Rebuild the winning solution from the retained origins.
+    """Rebuild the winning solution from the retained origins, and check
+    it.
 
     A backward walk follows the origin ids from the winning final state
-    to node 1 and collects each node's state id.  A forward walk then
-    makes each node's context inline from its node key and the bag it
-    carries along, without reading the graph (the context equals
-    _context's), and replays the node from the predecessor's value
-    (_replayer), which picks the action the run took and recomputes the
-    value; a final value other than result.value means the plugin's
-    expansion has changed since the run.  The (ctx, prev, action, state)
-    chain, with states decoded, goes to the plugin's certificate
-    builder.
+    to node 1.  A forward walk then makes each node's context from its
+    node key and the bag it carries along, and replays the node from the
+    predecessor's value (_replayer), which picks the action the run took
+    and recomputes the value; a final value other than result.value
+    means the plugin has changed since the run.  The (ctx, prev, action,
+    state) chain goes to the plugin's certificate builder, and a
+    certificate that plugin.check_certificate rejects, or scores other
+    than result.objective, raises PluginInconsistencyError.
     """
     if not result.feasible:
         raise ReconstructionUnavailableError("run was infeasible")
@@ -560,8 +570,7 @@ def reconstruct_solution(result: DpRunResult):
     before = ()
     for i, (k, (_kind, v, order), prev, sid) in enumerate(
             zip(result.node_keys, result.npd.nodes, path, path[1:])):
-        kind, pos, nbrs, _nv, is_last = keys[k][:5]
-        ctx = NodeCtx(i, kind, v, before, order, pos, nbrs, is_last)
+        ctx = NodeCtx(i, v, before, keys[k][0])
         action, value = replay(i, prev, value, sid, ctx)
         chain.append((ctx, states[prev], action, states[sid]))
         before = order
@@ -569,4 +578,12 @@ def reconstruct_solution(result: DpRunResult):
         raise PluginInconsistencyError(
             f"{plugin.name} replays the winning chain to value {value}, "
             f"not the run's {result.value}")
-    return plugin.extract_certificate(chain)
+    certificate = plugin.extract_certificate(chain)
+    del chain, path  # the check builds sets as large as the graph
+    ok, objective = plugin.check_certificate(certificate)
+    if not ok or objective != result.objective:
+        raise PluginInconsistencyError(
+            f"{plugin.name} builds a certificate that "
+            + (f"scores {objective}, not the run's {result.objective}"
+               if ok else "its own check rejects"))
+    return certificate

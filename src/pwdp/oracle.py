@@ -1,7 +1,8 @@
 """Brute-force reference solvers.
 
-Every solver here finds the exact optimum by exhaustive enumeration over
-a small instance.  None of them look at path decompositions or share the
+Every solver here finds the exact optimum by exhaustive search over a
+small instance: enumeration, or for path cover a DP over vertex
+subsets.  None of them look at path decompositions or share the
 DP machinery of the main solvers; they exist to cross-check results and
 to pin expected values in tests.  oracle_solve checks parameters by
 building the problem's plugin, as pwdp solve does, so both reject the
@@ -96,29 +97,34 @@ def oracle_penalty_coloring(g: Graph, C: int, mode: str = "sum") -> OracleResult
     return OracleResult(True, best, {v: best_col[v - 1] for v in g.vertices()})
 
 
-def _perm_breaks(g, perm):
-    breaks = 0
-    for a, b in zip(perm, perm[1:]):
-        if not g.adjacent(a, b):
-            breaks += 1
-    return breaks
-
-
 def oracle_path_cover(g: Graph) -> OracleResult:
-    """Minimum paths over all vertex permutations."""
+    """Minimum paths: one more than the fewest breaks (consecutive
+    non-adjacent vertices) over all vertex orders, by a DP over (vertices
+    placed, last vertex) in O(2^n n^2).  The certificate is the edges of
+    the lexicographically first optimal order."""
     _check_size(g.n)
-    best = g.n
-    best_perm = tuple(g.vertices())
-    for perm in itertools.permutations(range(1, g.n + 1)):
-        b = _perm_breaks(g, perm)
-        if b + 1 < best:
-            best = b + 1
-            best_perm = perm
-            if best == 1:
-                break
-    edges = [(a, b) for a, b in zip(best_perm, best_perm[1:])
-             if g.adjacent(a, b)]
-    return OracleResult(True, best, edges)
+    n, full = g.n, (1 << g.n) - 1
+    near = [sum(1 << (u - 1) for u in g.neighbors(v)) for v in g.vertices()]
+    # rest[placed][last]: fewest breaks among the vertices not placed,
+    # after an order of those placed that ends at last
+    rest = [[0] * n for _ in range(full + 1)]
+
+    def nexts(placed, last):
+        return [((not near[last] >> u & 1) + rest[placed | 1 << u][u], u)
+                for u in range(n) if not placed >> u & 1]
+
+    for placed in range(full - 1, 0, -1):
+        for last in range(n):
+            if placed >> last & 1:
+                rest[placed][last] = min(nexts(placed, last))[0]
+    breaks, first = min((rest[1 << v][v], v) for v in range(n))
+    order, placed = [first], 1 << first
+    while placed != full:
+        order.append(min(nexts(placed, order[-1]))[1])
+        placed |= 1 << order[-1]
+    edges = [(a + 1, b + 1) for a, b in zip(order, order[1:])
+             if near[a] >> b & 1]
+    return OracleResult(True, breaks + 1, edges)
 
 
 def _block_cycle(g, block):

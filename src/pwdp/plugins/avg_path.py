@@ -78,31 +78,25 @@ class AvgPathProblem(ProblemDefinition):
         acts += [("connect", j, k) for j, k in combinations(ctx.nbrs, 2)]
         return acts
 
-    def expand_state(self, state, ctx, action, value):
+    def transition(self, state, shape, action):
         kind = action[0]
         if kind == "forget":
-            return (state[:ctx.pos] + state[ctx.pos + 1:], value, True)
+            return state[:shape.pos] + state[shape.pos + 1:], None
         s, x, f = state[:-2], state[-2], state[-1]
         if kind == "skip":
-            return (s + (OFF, x, f), value, True)
+            return s + (OFF, x, f), None
         if x == self.U:
-            return ((), 0, False)
-        w = self.graph.vertex_weight(ctx.vertex)
+            return None
+        # an action that puts the vertex on the path gains its weight
         if kind == "new":
-            return (s + (LONE, x + 1, f + 1), value + w, True)
+            return s + (LONE, x + 1, f + 1), ()
         if kind == "extend":
             s2 = extend_fragment(s, action[1], LONE, DONE)
-            if s2 is None:
-                return ((), 0, False)
-            return (s2 + (x + 1, f), value + w, True)
+            return None if s2 is None else (s2 + (x + 1, f), ())
         s2 = join_fragments(s, action[1], action[2], LONE, DONE)
-        if s2 is None:
-            return ((), 0, False)
-        return (s2 + (x + 1, f - 1), value + w, True)
+        return None if s2 is None else (s2 + (x + 1, f - 1), ())
 
-    def value_key(self, ctx):
-        if ctx.kind != INTRODUCE:
-            return ()
+    def gain(self, ctx, action, tag):
         return self.graph.vertex_weight(ctx.vertex)
 
     def normalize(self, state):

@@ -2,52 +2,45 @@
 
 A plugin binds a graph and problem parameters, and supplies everything
 the engine needs: the per-bag-size state space, the action set of each
-decomposition node, the expansion of a predecessor state under an
-action, normalization to canonical form, the direction values are
-ranked in, final-state acceptance, and certificate
-extraction/checking.
+decomposition node, the transition of a state under an action and its
+value change, normalization to canonical form, the direction values are
+ranked in, final-state acceptance, and certificate extraction/checking.
 
 States are flat tuples of small integers.  Every plugin counts its
 states in closed form (count_states), so the engine can check a bag's
 table size against its capacity without enumerating (path and cycle
 cover count their noncrossing states too, for catalan_allowed); the
-engine enumerates only under run_dp(validate=True).  Expansion returns
-a (new_state, new_value, ok) triple; ok False marks the action as
-inapplicable to that predecessor, standing in for an infinite cost.
-Weights, penalties and costs come from the bound graph, never from the
-node context.
+engine enumerates only under run_dp(validate=True).
+
+A move has two halves.  transition(state, shape, action) returns (raw
+next state, tag), or None where the action does not apply, standing in
+for an infinite cost.  It sees the node's shape (kind, pos, nbrs, nv,
+is_last) and no vertex, so it cannot read a weight (trying raises
+AttributeError), and the engine reuses it at every node with the same
+shape and actions.  gain(ctx, action, tag) returns the value change,
+read from the bound graph at node ctx; the engine calls it at every
+node, once per distinct (action, tag).  The tag None means no change
+and calls nothing; any other tag, a hashable value, carries what the
+change needs besides the node and the action, such as the bag
+positions of the edges it pays for.  A plugin whose change reads no
+weight keeps the default gain, which returns the tag: its transition
+returns the change itself, and the engine never calls gain.
+combine(value, change) makes the new value, value + change by default;
+the engine memoizes no node of a plugin that overrides it
+(penalty-coloring's max mode).  expand_state composes the three into a
+(new_state, new_value, ok) triple for nodes whose key occurs once; it
+is also the reference for the tests.
 
 direction is the only ranking rule: 'min' keeps the smaller value
 (operator.lt), 'max' the larger (operator.gt), for table entries and
 for the final values alike; run_dp rejects any other direction.
 
 normalize must be a pure function of the state that maps every
-canonical state to itself.  The engine interns states as small ints
-and caches each raw expansion result's canonical id for the whole run,
-so it calls normalize at most once per distinct raw tuple, and a raw
-tuple equal to a canonical state it has already seen is not normalized
-at all.
-
-The engine memoizes expansions across nodes, so expand_state may read
-from its node context only kind, pos, nbrs, len(order_before) and
-is_last, plus the action it is given; vertex and order_before serve only
-to look up weights.  The value change new_value - value must be the same
-for every value of the state, and value_key(ctx) returns every weight
-it reads: () when none is read (covers, coloring, rect-cover), w(v) for
-mwis and avg-path, the edge weights to nbrs for matching.  A plugin
-whose change is not additive, such as penalty-coloring's max mode,
-returns ctx.index instead: no other node shares that key, so its nodes
-are never replayed.  run_dp(validate=True) re-expands every replayed
-state and reports a key that misses a weight.
-
-expand_state is also called again after the run: a retained run keeps
-only each state's predecessor, and reconstruction and
-DpRunResult.tables replay the predecessor's actions to recover the
-action taken and the value.  The replay expands each (node key,
-predecessor) pair once and reuses its value changes at the key's other
-nodes, as the run does, so the same value_key rule holds there, and a
-key of ctx.index shares nothing.  So expand_state must stay a pure
-function of the state, the node's structure, the action and the value.
+canonical state to itself: the engine calls it at most once per
+distinct raw tuple per run.  transition and gain must stay pure too,
+since reconstruction and DpRunResult.tables call them again to replay
+the run; reconstruct_solution then checks its certificate with
+check_certificate.
 
 Plugins share one action vocabulary: every forget node offers the single
 FORGET_ACTION, and an introduce action that picks graph edges lists the
@@ -97,15 +90,31 @@ class ProblemDefinition:
     def set_of_actions(self, ctx) -> list:
         raise NotImplementedError
 
-    def expand_state(self, state: tuple, ctx, action, value):
+    def transition(self, state: tuple, shape, action):
+        """(raw next state, tag) of state under action at a node of this
+        shape, or None where the action does not apply."""
         raise NotImplementedError
 
-    def value_key(self, ctx):
-        """Every weight the value change at this node reads, as a
-        hashable value; ctx.index when the change is not value + delta.
-        The engine replays a state's moves at later nodes of the same
-        shape and actions whose value_key is equal."""
-        raise NotImplementedError
+    def gain(self, ctx, action, tag):
+        """The value change of a transition with this tag at the node
+        ctx.  The default reads no weight: the tag is the change."""
+        return tag
+
+    def combine(self, value, change):
+        """The new value after a change; a plugin that overrides this
+        is not additive, and the engine memoizes none of its nodes."""
+        return value + change
+
+    def expand_state(self, state: tuple, ctx, action, value):
+        """(new_state, new_value, ok): transition on ctx's shape, then
+        gain and combine; ok False where the action does not apply."""
+        out = self.transition(state, ctx.shape, action)
+        if out is None:
+            return (), 0, False
+        new_state, tag = out
+        if tag is not None:
+            value = self.combine(value, self.gain(ctx, action, tag))
+        return new_state, value, True
 
     def normalize(self, state: tuple) -> tuple:
         return state
@@ -129,16 +138,6 @@ class ProblemDefinition:
     def check_certificate(self, certificate):
         """Independently re-verify; returns (ok, objective)."""
         raise NotImplementedError
-
-
-def neighbor_edge_key(ctx, weight):
-    """weight(u, v) from the introduced vertex v to each bag neighbor u,
-    in nbrs order, or () at a forget node: the value key of plugins that
-    pay per chosen edge."""
-    if ctx.kind != INTRODUCE:
-        return ()
-    v = ctx.vertex
-    return tuple(weight(ctx.order_before[j], v) for j in ctx.nbrs)
 
 
 def chain_edges(chain):

@@ -6,7 +6,7 @@ import itertools
 from ..decomposition import INTRODUCE
 from ..errors import ParameterError
 from ..partition import count_partitions, normalize_partition, restricted_growth_strings
-from .base import FORGET_ACTION, ProblemDefinition, neighbor_edge_key
+from .base import FORGET_ACTION, ProblemDefinition
 
 COLOR = "color"
 
@@ -41,17 +41,14 @@ class ColoringProblem(ProblemDefinition):
             return [(COLOR, cx) for cx in range(1, self.C + 1)]
         return [FORGET_ACTION]
 
-    def expand_state(self, state, ctx, action, value):
+    def transition(self, state, shape, action):
         if action[0] == COLOR:
             cx = action[1]
-            for j in ctx.nbrs:
+            for j in shape.nbrs:
                 if state[j] == cx:
-                    return ((), 0, False)
-            return (state + (cx,), value, True)
-        return (state[:ctx.pos] + state[ctx.pos + 1:], value, True)
-
-    def value_key(self, ctx):
-        return ()
+                    return None
+            return state + (cx,), None
+        return state[:shape.pos] + state[shape.pos + 1:], None
 
     def extract_certificate(self, chain):
         colors = {}
@@ -133,27 +130,27 @@ class PenaltyColoringProblem(CanonicalColoringProblem):
                     raise ParameterError(
                         f"mode 'max' needs penalties >= 0, edge ({u},{v}) "
                         f"has {graph.edge_penalty(u, v)}")
+            # the worst penalty so far, not a sum: value + change would
+            # be wrong, so the engine memoizes no node of this mode
+            self.combine = max
         self.mode = mode
 
     def initial_value(self):
         return 0
 
-    def value_key(self, ctx):
-        if self.mode == "max":
-            return ctx.index   # max(value, pen) is no fixed value + delta
-        return neighbor_edge_key(ctx, self.graph.edge_penalty)
-
-    def expand_state(self, state, ctx, action, value):
+    def transition(self, state, shape, action):
+        # a color's tag: the bag positions of the neighbors that have it,
+        # whose edges pay their penalty (None when there are none)
         if action[0] == COLOR:
             cx = action[1]
-            cost = value
-            for j in ctx.nbrs:
-                if state[j] == cx:
-                    pen = self.graph.edge_penalty(ctx.order_before[j],
-                                                  ctx.vertex)
-                    cost = cost + pen if self.mode == "sum" else max(cost, pen)
-            return (state + (cx,), cost, True)
-        return (state[:ctx.pos] + state[ctx.pos + 1:], value, True)
+            same = tuple([j for j in shape.nbrs if state[j] == cx])
+            return state + (cx,), same or None
+        return state[:shape.pos] + state[shape.pos + 1:], None
+
+    def gain(self, ctx, action, tag):
+        pens = [self.graph.edge_penalty(ctx.order_before[j], ctx.vertex)
+                for j in tag]
+        return max(pens) if self.mode == "max" else sum(pens)
 
     def check_certificate(self, colors):
         g = self.graph

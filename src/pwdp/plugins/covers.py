@@ -49,26 +49,22 @@ class PathCoverProblem(ProblemDefinition):
         acts += [("connect", j, k) for j, k in combinations(ctx.nbrs, 2)]
         return acts
 
-    # value deltas; the cycle subclass overrides these
+    # value changes, the tags of new and connect; the cycle subclass
+    # overrides these
     new_delta = 1
     connect_delta = -1
 
-    def expand_state(self, state, ctx, action, value):
+    def transition(self, state, shape, action):
         kind = action[0]
         if kind == "forget":
-            return (state[:ctx.pos] + state[ctx.pos + 1:], value, True)
+            return state[:shape.pos] + state[shape.pos + 1:], None
         if kind == "new":
-            return (state + (LONE,), value + self.new_delta, True)
+            return state + (LONE,), self.new_delta
         if kind == "extend":
             s2 = extend_fragment(state, action[1], LONE, SETTLED)
-            return ((), 0, False) if s2 is None else (s2, value, True)
+            return None if s2 is None else (s2, None)
         s2 = join_fragments(state, action[1], action[2], LONE, SETTLED)
-        if s2 is None:
-            return ((), 0, False)
-        return (s2, value + self.connect_delta, True)
-
-    def value_key(self, ctx):
-        return ()
+        return None if s2 is None else (s2, self.connect_delta)
 
     def normalize(self, state):
         return normalize_partition(state, self.frozen)
@@ -144,19 +140,18 @@ class CycleCoverProblem(PathCoverProblem):
             acts += [("close", j, k) for j, k in combinations(ctx.nbrs, 2)]
         return acts
 
-    def expand_state(self, state, ctx, action, value):
+    def transition(self, state, shape, action):
         kind = action[0]
         if kind == "close":
             j, k = action[1], action[2]
             sj = state[j]
             if sj <= 0 or sj != state[k]:
-                return ((), 0, False)
+                return None
             s2 = state[:j] + (SETTLED,) + state[j + 1:]
-            s2 = s2[:k] + (SETTLED,) + s2[k + 1:] + (SETTLED,)
-            return (s2, value + 1, True)
-        if kind == "forget" and state[ctx.pos] != SETTLED:
-            return ((), 0, False)
-        return super().expand_state(state, ctx, action, value)
+            return s2[:k] + (SETTLED,) + s2[k + 1:] + (SETTLED,), 1
+        if kind == "forget" and state[shape.pos] != SETTLED:
+            return None
+        return super().transition(state, shape, action)
 
     def check_certificate(self, edges):
         r = self._components(edges)

@@ -12,9 +12,7 @@ from __future__ import annotations
 import itertools
 
 from ..decomposition import INTRODUCE
-from .base import (
-    FORGET_ACTION, ProblemDefinition, chain_edges, neighbor_edge_key,
-)
+from .base import FORGET_ACTION, ProblemDefinition, chain_edges
 
 FREE, MATCHED, OBLIGATED = 0, 1, 2
 
@@ -34,30 +32,29 @@ class MinMaximalMatchingProblem(ProblemDefinition):
             return [("skip",)] + [("add", j) for j in ctx.nbrs]
         return [FORGET_ACTION]
 
-    def expand_state(self, state, ctx, action, value):
+    def transition(self, state, shape, action):
         kind = action[0]
         if kind == "skip":
-            return (state + (FREE,), value, True)
+            return state + (FREE,), None
         if kind == "add":
             j = action[1]
             if state[j] == MATCHED:
-                return ((), 0, False)
-            w = self.graph.edge_weight(ctx.order_before[j], ctx.vertex)
-            s2 = state[:j] + (MATCHED,) + state[j + 1:] + (MATCHED,)
-            return (s2, value + w, True)
-        s = state[ctx.pos]
+                return None
+            return state[:j] + (MATCHED,) + state[j + 1:] + (MATCHED,), ()
+        s = state[shape.pos]
         if s == OBLIGATED:
-            return ((), 0, False)  # required match never happened
+            return None  # required match never happened
         s2 = list(state)
         if s == FREE:
-            for j in ctx.nbrs:
+            for j in shape.nbrs:
                 if s2[j] == FREE:
                     s2[j] = OBLIGATED
-        del s2[ctx.pos]
-        return (tuple(s2), value, True)
+        del s2[shape.pos]
+        return tuple(s2), None
 
-    def value_key(self, ctx):
-        return neighbor_edge_key(ctx, self.graph.edge_weight)
+    def gain(self, ctx, action, tag):  # add's: the weight of its edge
+        return self.graph.edge_weight(ctx.order_before[action[1]],
+                                      ctx.vertex)
 
     def extract_certificate(self, chain):
         return chain_edges(chain)

@@ -83,30 +83,27 @@ class RectCoverProblem(ProblemDefinition):
                 acts.append(("place", t, tuple(positions), above_pos))
         return acts
 
-    def expand_state(self, state, ctx, action, value):
+    def transition(self, state, shape, action):
         if action[0] == "forget":
-            return (state[:ctx.pos] + state[ctx.pos + 1:], value, True)
+            return state[:shape.pos] + state[shape.pos + 1:], None
         above_pos = action[-1]
         h_above = state[above_pos] if above_pos is not None else 0
         h_v = min(self.R, h_above + 1)
         if action[0] == "skip":
-            return (state + (h_v,), value, True)
+            return state + (h_v,), None
         t = action[1]
         r_p = self.pieces[t - 1][0]
         if h_v < r_p:
-            return ((), 0, False)
+            return None
         positions = action[2]
         for p in positions:
             if state[p] < r_p:
-                return ((), 0, False)
+                return None
         s2 = list(state)
         for p in positions:
             s2[p] = 0
         s2.append(0)
-        return (tuple(s2), value + 1, True)
-
-    def value_key(self, ctx):
-        return ()
+        return tuple(s2), 1
 
     def extract_certificate(self, chain):
         coords = self.graph.coords

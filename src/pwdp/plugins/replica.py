@@ -6,7 +6,7 @@ import itertools
 
 from ..decomposition import INTRODUCE
 from ..errors import ParameterError
-from .base import FORGET_ACTION, ProblemDefinition, neighbor_edge_key
+from .base import FORGET_ACTION, ProblemDefinition
 
 SELECT = ("select",)
 SKIP = ("skip",)
@@ -45,26 +45,24 @@ class KReplicaProblem(ProblemDefinition):
             return [SELECT, SKIP]
         return [FORGET_ACTION]
 
-    def expand_state(self, state, ctx, action, value):
+    def transition(self, state, shape, action):
+        # select's tag: the selected neighbors, whose edges pay penalty
         if action[0] == "forget":
-            return (state[:ctx.pos] + state[ctx.pos + 1:], value, True)
+            return state[:shape.pos] + state[shape.pos + 1:], None
         x = state[-1]
         if action[0] == "skip":
-            return (state[:-1] + (0, x), value, True)
+            return state[:-1] + (0, x), None
         if x == self.k:
-            return ((), 0, False)
-        g = self.graph
-        cost = value + g.selection_cost(ctx.vertex)
-        for j in ctx.nbrs:
-            if state[j] == 1:
-                cost += g.edge_penalty(ctx.order_before[j], ctx.vertex)
-        return (state[:-1] + (1, x + 1), cost, True)
+            return None
+        return state[:-1] + (1, x + 1), tuple([j for j in shape.nbrs
+                                               if state[j] == 1])
 
-    def value_key(self, ctx):
-        if ctx.kind != INTRODUCE:
-            return ()
-        return (self.graph.selection_cost(ctx.vertex),
-                neighbor_edge_key(ctx, self.graph.edge_penalty))
+    def gain(self, ctx, action, tag):
+        g = self.graph
+        cost = g.selection_cost(ctx.vertex)
+        for j in tag:
+            cost += g.edge_penalty(ctx.order_before[j], ctx.vertex)
+        return cost
 
     def is_valid_final(self, state):
         return state[-1] == self.k
@@ -106,20 +104,17 @@ class MwisProblem(ProblemDefinition):
             return [SELECT, SKIP]
         return [FORGET_ACTION]
 
-    def expand_state(self, state, ctx, action, value):
+    def transition(self, state, shape, action):
         if action[0] == "forget":
-            return (state[:ctx.pos] + state[ctx.pos + 1:], value, True)
+            return state[:shape.pos] + state[shape.pos + 1:], None
         if action[0] == "skip":
-            return (state + (0,), value, True)
-        for j in ctx.nbrs:
+            return state + (0,), None
+        for j in shape.nbrs:
             if state[j] == 1:
-                return ((), 0, False)
-        return (state + (1,), value + self.graph.vertex_weight(ctx.vertex),
-                True)
+                return None
+        return state + (1,), ()
 
-    def value_key(self, ctx):
-        if ctx.kind != INTRODUCE:
-            return ()
+    def gain(self, ctx, action, tag):  # select's: the vertex weight
         return self.graph.vertex_weight(ctx.vertex)
 
     def extract_certificate(self, chain):

@@ -61,60 +61,57 @@ class MaxLeafTreeProblem(ProblemDefinition):
                 acts.append(("join", *combo))
         return acts
 
-    def _w(self, ctx, j):
-        return self.graph.vertex_weight(ctx.order_before[j])
-
-    def expand_state(self, state, ctx, action, value):
+    def transition(self, state, shape, action):
+        # the tag: the positions that stop being leaves, whose weight
+        # the change takes back (None for no change)
         kind = action[0]
         if kind == "forget":
-            cid = state[2 * ctx.pos]
+            pos = shape.pos
+            cid = state[2 * pos]
             nv = len(state) // 2
-            if not ctx.is_last:
+            if not shape.is_last:
                 if not any(state[2 * t] == cid for t in range(nv)
-                           if t != ctx.pos):
-                    return ((), 0, False)  # component would be left behind
-            s2 = state[:2 * ctx.pos] + state[2 * ctx.pos + 2:]
-            return (s2, value, True)
+                           if t != pos):
+                    return None  # component would be left behind
+            return state[:2 * pos] + state[2 * pos + 2:], None
         if kind == "new":
             cids = state[0::2]
             newcid = max(cids) + 1 if cids else 1
-            return (state + (newcid, 0),
-                    value + self.graph.vertex_weight(ctx.vertex), True)
+            return state + (newcid, 0), ()
         if kind == "leaf":
             j = action[1]
             cid, deg = state[2 * j], state[2 * j + 1]
-            gain = (self.graph.vertex_weight(ctx.vertex)
-                    - (self._w(ctx, j) if deg == 1 else 0))
             s2 = list(state)
             s2[2 * j + 1] = min(2, deg + 1)
             s2 += [cid, 1]
-            return (tuple(s2), value + gain, True)
+            return tuple(s2), (j,) if deg == 1 else ()
         sv = action[1:]
         sv_cids = [state[2 * j] for j in sv]
         if len(set(sv_cids)) != len(sv_cids):
-            return ((), 0, False)  # two picks in one component: a cycle
+            return None  # two picks in one component: a cycle
         newcid = max(sv_cids)
         merged = set(sv_cids)
-        lost = 0
+        lost = []
         s2 = list(state)
         svset = set(sv)
         for t in range(len(state) // 2):
             cid, deg = state[2 * t], state[2 * t + 1]
             if t in svset:
                 if deg == 1:
-                    lost += self._w(ctx, t)
+                    lost.append(t)
                 s2[2 * t] = newcid
                 s2[2 * t + 1] = min(2, deg + 1)
             elif cid in merged:
                 s2[2 * t] = newcid
         s2 += [newcid, 2]
-        return (tuple(s2), value - lost, True)
+        return tuple(s2), tuple(lost) or None
 
-    def value_key(self, ctx):
-        if ctx.kind != INTRODUCE:
-            return ()
-        return (self.graph.vertex_weight(ctx.vertex),
-                tuple(self._w(ctx, j) for j in ctx.nbrs))
+    def gain(self, ctx, action, tag):
+        w = self.graph.vertex_weight
+        lost = sum(w(ctx.order_before[t]) for t in tag)
+        if action[0] in ("new", "leaf"):
+            return w(ctx.vertex) - lost
+        return -lost
 
     def normalize(self, state):
         cids = normalize_partition(state[0::2])

@@ -8,7 +8,7 @@ from pwdp.decomposition import (
     exact_pathwidth_decomposition, grid_sweep_decomposition, nicify,
     parse_decomposition,
 )
-from pwdp.engine import _context, build_contexts
+from pwdp.engine import build_contexts
 from pwdp.errors import DecompositionError, GraphFormatError, SizeLimitError
 from pwdp.graph import (
     Graph, PartialGrid, grid_to_graph, parse_graph, parse_grid,
@@ -426,8 +426,8 @@ DECOMPOSITIONS = decompositions()
 class TestStructureWalk:
     """The nice form records each forget's bag position while it checks
     its nodes, and build_contexts walks the nodes once on those
-    positions and the graph's adjacency; _context, which makes one node
-    from the graph alone, is the reference."""
+    positions and the graph's adjacency; node_context (conftest.py),
+    which makes one node from the graph alone, is the reference."""
 
     @pytest.mark.parametrize("label, g, npd", DECOMPOSITIONS,
                              ids=[d[0] for d in DECOMPOSITIONS])
@@ -440,9 +440,10 @@ class TestStructureWalk:
 
     @pytest.mark.parametrize("label, g, npd", DECOMPOSITIONS,
                              ids=[d[0] for d in DECOMPOSITIONS])
-    def test_walk_equals_per_node_contexts(self, label, g, npd):
+    def test_walk_equals_per_node_contexts(self, label, g, npd, node_context):
         walked = list(build_contexts(g, npd))
-        assert walked == [_context(g, npd, i) for i in range(len(npd.nodes))]
+        assert walked == [node_context(g, npd, i)
+                          for i in range(len(npd.nodes))]
 
     def test_grids_cover_every_sweep_form(self):
         # auto sweeps both ways, and every grid has holes and removed edges

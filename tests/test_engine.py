@@ -6,11 +6,11 @@ from collections import Counter
 import pytest
 
 from pwdp.decomposition import (
-    FORGET, INTRODUCE, NiceNode, NicePathDecomposition,
-    exact_pathwidth_decomposition, grid_sweep_decomposition,
+    FORGET, INTRODUCE, NiceNode, NicePathDecomposition, PathDecomposition,
+    exact_pathwidth_decomposition, grid_sweep_decomposition, nicify,
 )
 from pwdp.engine import (
-    NodeCtx, NodeStats, _context, _key_context, build_contexts,
+    NodeCtx, NodeStats, _key_context, build_contexts,
     catalan_allowed, crosses, generate_states, reconstruct_solution, run_dp,
 )
 from pwdp.errors import (
@@ -18,6 +18,7 @@ from pwdp.errors import (
     PluginInconsistencyError, ReconstructionUnavailableError,
 )
 from pwdp.graph import Graph, PartialGrid, grid_to_graph
+from pwdp.oracle import oracle_mwis
 from pwdp.plugins import PLUGIN_NAMES, make_plugin
 from pwdp.plugins.base import ProblemDefinition
 from pwdp.plugins.coloring import CanonicalColoringProblem
@@ -319,11 +320,6 @@ def reference_certificate(plugin, graph, npd, origins, final_state):
     return plugin.extract_certificate(chain)
 
 
-def node_key(plugin, ctx):
-    return (ctx.kind, ctx.pos, ctx.nbrs, len(ctx.order_before), ctx.is_last,
-            tuple(plugin.set_of_actions(ctx)), plugin.value_key(ctx))
-
-
 def weighted_grid(rows, cols, seed):
     """A full grid whose weights, costs and penalties are 1 or 2, so node
     keys both repeat and differ along the sweep."""
@@ -360,12 +356,41 @@ def weighted_instance(name, mode):
     return plugin, g, npd
 
 
-class UnderKeyedMwis(MwisProblem):
-    """Leaves w(v) out of its value key, so replays reuse another
-    vertex's weight."""
+class VertexReadingMwis(MwisProblem):
+    """Reads the introduced vertex's weight in its transition, where
+    only the node's shape is given."""
 
-    def value_key(self, ctx):
-        return ()
+    def transition(self, state, shape, action):
+        self.graph.vertex_weight(shape.vertex)
+        return super().transition(state, shape, action)
+
+
+def random_weight_path():
+    """A 10-vertex path with weights 1..9 from random.Random(3), whose
+    optimum 34 a memo keyed without the weights got wrong."""
+    rng = random.Random(3)
+    return Graph(10, [(i, i + 1) for i in range(1, 10)],
+                 vertex_weights={v: rng.randint(1, 9) for v in range(1, 11)})
+
+
+def band(n, bag, seed, weighted):
+    """The path 1..n plus each edge (u, u + d), 2 <= d < bag, with
+    probability 1/2, and the nice form of its windows of bag vertices;
+    weighted draws every weight, penalty and cost from 1..9, else all
+    are 1."""
+    rng = random.Random(seed)
+    edges = [(u, u + d) for u in range(1, n + 1) for d in range(1, bag)
+             if u + d <= n and (d == 1 or rng.random() < 0.5)]
+    pd = PathDecomposition([range(i, i + bag) for i in range(1, n - bag + 2)])
+
+    def weights(items):
+        return {x: rng.randint(1, 9) for x in items} if weighted else {}
+
+    vertices = range(1, n + 1)
+    g = Graph(n, edges, vertex_weights=weights(vertices),
+              selection_costs=weights(vertices), edge_weights=weights(edges),
+              edge_penalties=weights(edges))
+    return g, nicify(pd, g)
 
 
 class TestMemo:
@@ -386,13 +411,34 @@ class TestMemo:
         assert reconstruct_solution(res) == reference_certificate(
             plugin, g, npd, origins, res.final_state)
 
-    def test_under_keyed_plugin_caught(self):
-        g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)],
-                  vertex_weights={1: 1, 2: 5, 3: 1, 4: 7, 5: 2})
+    def test_random_weights_on_shared_keys_match_the_oracle(self):
+        # 20 nodes share 4 keys, so each key's transitions serve
+        # vertices of different weights
+        g = random_weight_path()
         npd, _ = exact_pathwidth_decomposition(g)
-        assert run_dp(MwisProblem(g), g, npd, validate=True).objective == 12
-        with pytest.raises(PluginInconsistencyError, match="value_key"):
-            run_dp(UnderKeyedMwis(g), g, npd, validate=True)
+        res = run_dp(MwisProblem(g), g, npd, retain=True)
+        assert len(res.keys) < len(npd.nodes) / 2
+        assert res.objective == oracle_mwis(g).objective == 34
+        certificate = reconstruct_solution(res)
+        assert MwisProblem(g).check_certificate(certificate) == (True, 34)
+
+    def test_transition_reading_a_vertex_raises(self):
+        g = random_weight_path()
+        npd, _ = exact_pathwidth_decomposition(g)
+        with pytest.raises(AttributeError, match="vertex"):
+            run_dp(VertexReadingMwis(g), g, npd)
+
+    @pytest.mark.parametrize("name", ["min-maximal-matching", "k-replica",
+                                      "penalty-coloring", "mwis"])
+    def test_weights_split_no_key(self, name):
+        runs = []
+        for weighted in (False, True):
+            g, npd = band(60, 5, seed=2, weighted=weighted)
+            plugin = make_plugin(name, g, k=3, C=3)
+            runs.append(run_dp(plugin, g, npd, retain=True))
+        unit, weighted = runs
+        assert len(weighted.keys) == len(unit.keys) < len(weighted.filled) / 4
+        assert weighted.node_keys == unit.node_keys
 
     def test_each_key_state_action_expanded_once(self):
         grid = full_grid(4, 6)
@@ -400,13 +446,15 @@ class TestMemo:
         npd, _ = grid_sweep_decomposition(grid)
         plugin = make_plugin("cycle-cover", g)
         calls = Counter()
-        expand = plugin.expand_state
+        transition = plugin.transition
 
-        def counted(state, ctx, action, value):
-            calls[node_key(plugin, ctx), state, action] += 1
-            return expand(state, ctx, action, value)
+        # cycle-cover's actions follow from the shape, so the shape
+        # alone names a node key
+        def counted(state, shape, action):
+            calls[shape, state, action] += 1
+            return transition(state, shape, action)
 
-        plugin.expand_state = counted
+        plugin.transition = counted
         res = run_dp(plugin, g, npd)
         assert res.objective == 1
         assert max(calls.values()) == 1
@@ -448,16 +496,6 @@ class TestStateIds:
             calls.clear()
             replay(res)
             assert max(calls.values(), default=0) <= 1
-
-    def test_under_keyed_plugin_caught_through_the_cache(self):
-        g = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)],
-                  vertex_weights={1: 1, 2: 5, 3: 1, 4: 7, 5: 2})
-        npd, _ = exact_pathwidth_decomposition(g)
-        plugin = UnderKeyedMwis(g)
-        calls = self.counting_normalize(plugin)
-        with pytest.raises(PluginInconsistencyError, match="value_key"):
-            run_dp(plugin, g, npd, validate=True)
-        assert calls and max(calls.values()) == 1
 
     @pytest.mark.parametrize("direction", ["maximize", "MIN", None])
     def test_unknown_direction_rejected(self, direction):
@@ -525,21 +563,59 @@ class TestRetention:
         plugin = MwisProblem(g)
         res = run_dp(plugin, g, npd, retain=True)
         assert reconstruct_solution(res) == [2, 4]
-        expand = plugin.expand_state
+        gain = plugin.gain
 
-        def off_by_one(state, ctx, action, value):
-            new_state, new_value, ok = expand(state, ctx, action, value)
-            return new_state, new_value + 1, ok
+        def off_by_one(ctx, action, tag):
+            return gain(ctx, action, tag) + 1
 
-        monkeypatch.setattr(plugin, "expand_state", off_by_one)
+        monkeypatch.setattr(plugin, "gain", off_by_one)
         with pytest.raises(PluginInconsistencyError, match="replays"):
+            reconstruct_solution(res)
+
+
+class TestCertificateCheck:
+    """reconstruct_solution scores the certificate it builds with the
+    plugin's check_certificate, so a run whose claimed value its own
+    certificate does not reach raises instead of answering."""
+
+    @pytest.mark.parametrize("name", ["coloring", "k-replica",
+                                      "max-leaf-tree", "min-maximal-matching",
+                                      "mwis", "path-cover"])
+    def test_certificate_missing_an_element_raises(self, name, monkeypatch):
+        plugin, g, npd = weighted_instance(name, "sum")
+        res = run_dp(plugin, g, npd, retain=True)
+        extract = plugin.extract_certificate
+
+        def drop_one(chain):
+            certificate = extract(chain)
+            if isinstance(certificate, dict):
+                return dict(list(certificate.items())[1:])
+            return certificate[1:]
+
+        monkeypatch.setattr(plugin, "extract_certificate", drop_one)
+        with pytest.raises(PluginInconsistencyError, match="certificate"):
+            reconstruct_solution(res)
+
+    @pytest.mark.parametrize("name, mode", EVERY_PLUGIN)
+    def test_objective_off_by_one_raises(self, name, mode, monkeypatch):
+        plugin, g, npd = weighted_instance(name, mode)
+        final_value = plugin.final_value
+
+        def off_by_one(state, value):
+            return final_value(state, value) + 1
+
+        monkeypatch.setattr(plugin, "final_value", off_by_one)
+        res = run_dp(plugin, g, npd, retain=True)
+        with pytest.raises(PluginInconsistencyError,
+                           match=f"scores .*, not the run's {res.objective}"):
             reconstruct_solution(res)
 
 
 class TestKeyReplay:
     """After the key pass the engine works from node key ids: the loop
-    makes a context only where it expands, and a replay expands each
-    (key, predecessor) pair once."""
+    makes a context only where it expands or reads weights, and a
+    replay computes the transitions of each (key, predecessor) pair
+    once."""
 
     @staticmethod
     def long_path(name):
@@ -565,28 +641,44 @@ class TestKeyReplay:
             made[fields[0]] += 1
             return NodeCtx(*fields)
 
+        gained = Counter()
+        gain = type(plugin).gain
+
+        def counted_gain(self, ctx, action, tag):
+            gained[ctx.index] += 1
+            return gain(self, ctx, action, tag)
+
         plugin.expand_state = counted
+        if name == "mwis":  # coloring reads no weight and keeps no gain
+            monkeypatch.setattr(MwisProblem, "gain", counted_gain)
         monkeypatch.setattr("pwdp.engine.NodeCtx", recording)
         run_dp(plugin, g, npd, retain=True)
         # the key pass makes every context once, the loop once more at
-        # each node that expands something
+        # each node that expands something or reads its weights: mwis's
+        # introduce nodes, whose select gains the vertex weight
         replayed = [i for i in range(len(npd.nodes)) if not expanded[i]]
         assert len(replayed) > len(npd.nodes) / 2
-        assert all(made[i] == 1 for i in replayed)
+        assert all(made[i] == 1 for i in replayed if not gained[i])
         assert all(made[i] == 2 for i in expanded)
+        assert all(made[i] == 2 and gained[i] == 1
+                   for i in gained if not expanded[i])
+        introduced = [i for i in replayed if npd.nodes[i].kind == INTRODUCE]
+        assert ([i for i in replayed if gained[i]]
+                == (introduced if name == "mwis" else []))
 
     @pytest.mark.parametrize("name", ["mwis", "coloring"])
     def test_reconstruction_expands_each_key_pred_action_once(self, name):
         plugin, g, npd = self.long_path(name)
         res = run_dp(plugin, g, npd, retain=True)
         calls = Counter()
-        expand = plugin.expand_state
+        transition = plugin.transition
 
-        def counted(state, ctx, action, value):
-            calls[node_key(plugin, ctx), state, action] += 1
-            return expand(state, ctx, action, value)
+        # the actions of both plugins follow from the shape
+        def counted(state, shape, action):
+            calls[shape, state, action] += 1
+            return transition(state, shape, action)
 
-        plugin.expand_state = counted
+        plugin.transition = counted
         ok, _objective = plugin.check_certificate(reconstruct_solution(res))
         assert ok
         assert calls and max(calls.values()) == 1
@@ -597,7 +689,8 @@ class TestKeyContexts:
     and the bags, never from the graph."""
 
     @pytest.mark.parametrize("name, mode", EVERY_PLUGIN)
-    def test_key_context_equals_graph_context(self, name, mode):
+    def test_key_context_equals_graph_context(self, name, mode, monkeypatch,
+                                              node_context):
         plugin, g, npd = weighted_instance(name, mode)
         seen = []
         expand = plugin.expand_state
@@ -606,15 +699,24 @@ class TestKeyContexts:
             seen.append(ctx)
             return expand(state, ctx, action, value)
 
+        gain = type(plugin).gain
+
+        def recording_gain(self, ctx, action, tag):
+            seen.append(ctx)
+            return gain(self, ctx, action, tag)
+
         plugin.expand_state = recording
+        if gain is not ProblemDefinition.gain:  # a default gain is not called
+            monkeypatch.setattr(type(plugin), "gain", recording_gain)
         res = run_dp(plugin, g, npd, retain=True)
         reconstruct_solution(res)
         res.tables
         for i, k in enumerate(res.node_keys):
-            assert _key_context(npd.nodes, i, res.keys[k]) == _context(g, npd, i)
+            assert (_key_context(npd.nodes, i, res.keys[k])
+                    == node_context(g, npd, i))
         # the contexts the plugin was handed, in the loop and the replays
         assert seen
-        assert all(ctx == _context(g, npd, ctx.index) for ctx in seen)
+        assert all(ctx == node_context(g, npd, ctx.index) for ctx in seen)
 
     @pytest.mark.parametrize("name, mode", EVERY_PLUGIN)
     def test_replays_read_no_adjacency(self, name, mode, monkeypatch):

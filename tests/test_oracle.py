@@ -1,6 +1,14 @@
+import itertools
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import pwdp
 
 from pwdp.errors import NotApplicableError, ParameterError, SizeLimitError
 from pwdp.graph import Graph, PartialGrid
@@ -87,6 +95,49 @@ def test_path_cover_certificate_covers():
     assert all(d <= 2 for d in deg.values())
     # paths = vertices - edges used
     assert star.n - len(r.certificate) == r.objective
+
+
+def first_best_order_edges(g):
+    """The edges of the lexicographically first vertex order with the
+    fewest breaks, by trying every order."""
+    def breaks(order):
+        return sum(not g.adjacent(a, b) for a, b in zip(order, order[1:]))
+
+    best = min(itertools.permutations(g.vertices()), key=breaks)
+    return breaks(best) + 1, [(a, b) for a, b in zip(best, best[1:])
+                              if g.adjacent(a, b)]
+
+
+def test_path_cover_matches_every_order_search():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        g = Graph(n, [e for e in pairs if rng.random() < 0.4])
+        r = oracle_path_cover(g)
+        assert (r.objective, r.certificate) == first_best_order_edges(g)
+
+
+HOLED = """
+import sys
+from pwdp.graph import grid_to_graph, parse_grid
+from pwdp.oracle import oracle_path_cover
+r = oracle_path_cover(grid_to_graph(parse_grid(sys.stdin.read())))
+print(r.objective, len(r.certificate))
+"""
+
+
+def test_path_cover_without_hamiltonian_path_finishes():
+    # 11 cells, no Hamiltonian path: trying every vertex order would
+    # take hours, so a hang fails on the timeout, not the whole suite
+    grid = "grid 3 4\n....\n.X..\n....\nremoveedge 1 1 1 2\n"
+    src = str(Path(pwdp.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", HOLED], input=grid,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "9"]
 
 
 def test_cycle_cover_values():
