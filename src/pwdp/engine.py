@@ -34,7 +34,7 @@ when asked for.
 """
 from __future__ import annotations
 
-from operator import attrgetter, gt, lt
+from operator import add, attrgetter, gt, lt
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .decomposition import NicePathDecomposition
@@ -134,10 +134,11 @@ def catalan_allowed(plugin, npd) -> Dict[int, int]:
     """The noncrossing state bound of each bag size of npd, in closed
     form (plugin.count_noncrossing), ready for run_dp's allowed.
 
-    Sound only for path/cycle cover on a row-major grid sweep, where the
-    planar frontier keeps open paths noncrossing.
+    Applies to a plugin that counts its noncrossing states (path and
+    cycle cover) on a row-major grid sweep, where the planar frontier
+    keeps open paths noncrossing.
     """
-    if plugin.name not in ("path-cover", "cycle-cover"):
+    if not hasattr(plugin, "count_noncrossing"):
         raise NotApplicableError(
             f"catalan pruning applies to path/cycle cover, not {plugin.name}")
     if not getattr(npd, "from_grid_sweep", False):
@@ -269,28 +270,17 @@ def _interner(normalize, ids, states):
     return intern
 
 
-def _value_hooks(plugin):
-    """(gain, additive): plugin.gain, or None where it is the default
-    that returns the tag and reads no weight; and whether combine is
-    the default value + change."""
-    from .plugins.base import ProblemDefinition  # loaded with any plugin
-    own_gain, own_combine = (getattr(getattr(plugin, hook), "__func__", None)
-                             is getattr(ProblemDefinition, hook)
-                             for hook in ("gain", "combine"))
-    return (None if own_gain else plugin.gain), own_combine
-
-
 def _stepper(transition, gain, ids, intern, nodes):
     """step(state, i, key, memo) -> [(next id, slot)] for each action
     that applies to state at node i, in action order.  memo is the key's
-    (moves by state, slots, deltas, weighed): slots numbers each
-    distinct (action index, tag), and deltas holds each slot's change
-    at the current node, 0 for the tag None's slot 0.  A new slot's
-    change is its tag when gain is None; otherwise gain gives it, and
-    the slot joins weighed, which the loop re-reads at each node."""
+    (moves by state, slots, deltas): slots numbers each distinct
+    (action index, tag), and deltas holds each slot's change at the
+    current node, 0 for the tag None's slot 0.  gain gives a new slot's
+    change at node i; the loop re-reads every slot's at each later
+    node."""
     def step(state, i, key, memo):
         shape, actions = key
-        _moves, slots, deltas, weighed = memo
+        _moves, slots, deltas = memo
         moves = []
         for ai, action in enumerate(actions):
             out = transition(state, shape, action)
@@ -303,12 +293,7 @@ def _stepper(transition, gain, ids, intern, nodes):
             slot = 0 if tag is None else slots.get((ai, tag))
             if slot is None:
                 slot = slots[ai, tag] = len(deltas)
-                if gain is None:
-                    deltas.append(tag)
-                else:
-                    ctx = _key_context(nodes, i, key)
-                    deltas.append(gain(ctx, action, tag))
-                    weighed.append((slot, action, tag))
+                deltas.append(gain(_key_context(nodes, i, key), action, tag))
             moves.append((nid, slot))
         return moves
     return step
@@ -385,11 +370,10 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     plugin.transition at the first node that meets the state and
     reused at the key's later nodes, with no transition or normalize
     call; the key's memo is dropped after its last node.  Value changes
-    are read at every node: gain once per distinct (action, tag) the
-    key has met, unless the plugin keeps the default gain, whose tag
-    is the change.  A key that occurs once, and every node of a plugin
-    whose combine is not value + change, expands each candidate
-    straight through plugin.expand_state.
+    are read at every node, gain once per distinct (action, tag) the
+    key has met, and combined with the predecessor's value by
+    plugin.combine, inline when it is operator.add.  A key that occurs
+    once expands each candidate straight through plugin.expand_state.
     plugin.direction must be 'min' or 'max' (PluginInconsistencyError
     otherwise); it alone ranks values.
     allowed maps bag size to the noncrossing bound (catalan_allowed),
@@ -408,7 +392,8 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
         raise NotApplicableError(
             f"{plugin.name} plugin is bound to another graph")
     better = _better(plugin)
-    gain, additive = _value_hooks(plugin)
+    gain, combine = plugin.gain, plugin.combine
+    additive = combine is add
     allowed = allowed or {}
     allowed_counts = {}
     for node in npd.nodes:
@@ -449,17 +434,16 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     for i, k in enumerate(node_keys):
         key = keys[k]
         left[k] -= 1
-        if additive and left[k]:
+        if left[k]:
             memo = memos.get(k)
-            if memo is None:  # moves by state, slots, deltas, weighed
-                memo = memos[k] = ({}, {}, [0], [])
+            if memo is None:  # moves by state, slots, deltas
+                memo = memos[k] = ({}, {}, [0])
         else:
             memo = memos.pop(k, None)
         nxt = {}
         org = {} if retain else None
         if memo is None:
-            # a key no later node carries, or a change that is not
-            # value + delta: expand straight into nxt
+            # a key no later node carries: expand straight into nxt
             ctx = _key_context(nodes, i, key)
             actions = key[1]
             for sid, value in table.items():
@@ -478,18 +462,20 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                         if org is not None:
                             org[nid] = sid
         else:
-            moves_of, _slots, deltas, weighed = memo
-            if weighed:
+            moves_of, slots, deltas = memo
+            if slots:
                 # weights are read afresh at every node
                 ctx = _key_context(nodes, i, key)
-                for slot, action, tag in weighed:
-                    deltas[slot] = gain(ctx, action, tag)
+                actions = key[1]
+                for (ai, tag), slot in slots.items():
+                    deltas[slot] = gain(ctx, actions[ai], tag)
             for sid, value in table.items():
                 moves = moves_of.get(sid)
                 if moves is None:
                     moves = moves_of[sid] = step(states[sid], i, key, memo)
                 for nid, slot in moves:
-                    new_value = value + deltas[slot]
+                    new_value = (value + deltas[slot] if additive
+                                 else combine(value, deltas[slot]))
                     old = nxt.get(nid)
                     if old is None or better(new_value, old):
                         nxt[nid] = new_value
@@ -544,8 +530,8 @@ def reconstruct_solution(result: DpRunResult):
     it.
 
     A backward walk follows the origin ids from the winning final state
-    to node 1.  A forward walk then makes each node's context from its
-    node key and the bag it carries along, and replays the node from the
+    to node 1.  A forward walk then remakes each node's context from its
+    node key and the bag before it (_key_context), and replays it from the
     predecessor's value (_replayer), which picks the action the run took
     and recomputes the value; a final value other than result.value
     means the plugin has changed since the run.  The (ctx, prev, action,
@@ -564,16 +550,13 @@ def reconstruct_solution(result: DpRunResult):
         path.append(org[path[-1]])
     path.reverse()
     replay = _replayer(result)
-    keys, states = result.keys, result.states
+    keys, states, nodes = result.keys, result.states, result.npd.nodes
     chain = []
     value = plugin.initial_value()
-    before = ()
-    for i, (k, (_kind, v, order), prev, sid) in enumerate(
-            zip(result.node_keys, result.npd.nodes, path, path[1:])):
-        ctx = NodeCtx(i, v, before, keys[k][0])
+    for i, (k, prev, sid) in enumerate(zip(result.node_keys, path, path[1:])):
+        ctx = _key_context(nodes, i, keys[k])
         action, value = replay(i, prev, value, sid, ctx)
         chain.append((ctx, states[prev], action, states[sid]))
-        before = order
     if value != result.value:
         raise PluginInconsistencyError(
             f"{plugin.name} replays the winning chain to value {value}, "

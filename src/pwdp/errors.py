@@ -44,10 +44,12 @@ class CapacityError(PwdpError):
 
 
 class PluginInconsistencyError(PwdpError):
-    """A plugin's states disagree with its state space: the enumeration
-    repeats a state, or an expansion lands outside the legal set, or a
-    replayed expansion differs from the one the run made; or the plugin
-    ranks values by a direction other than 'min' or 'max'."""
+    """A plugin disagrees with itself or with its run: the enumeration
+    repeats a state, an expansion lands outside the legal set, a replay
+    no longer reaches a state from its origin or reaches the winning
+    state at a value other than the run's, the certificate it builds
+    fails its own check or scores other than the run's objective; or
+    it ranks values by a direction other than 'min' or 'max'."""
 
 
 class ReconstructionUnavailableError(PwdpError):

@@ -20,16 +20,16 @@ AttributeError), and the engine reuses it at every node with the same
 shape and actions.  gain(ctx, action, tag) returns the value change,
 read from the bound graph at node ctx; the engine calls it at every
 node, once per distinct (action, tag).  The tag None means no change
-and calls nothing; any other tag, a hashable value, carries what the
+and calls no gain; any other tag, a hashable value, carries what the
 change needs besides the node and the action, such as the bag
 positions of the edges it pays for.  A plugin whose change reads no
 weight keeps the default gain, which returns the tag: its transition
-returns the change itself, and the engine never calls gain.
-combine(value, change) makes the new value, value + change by default;
-the engine memoizes no node of a plugin that overrides it
-(penalty-coloring's max mode).  expand_state composes the three into a
-(new_state, new_value, ok) triple for nodes whose key occurs once; it
-is also the reference for the tests.
+returns the change itself.  combine(value, change) makes the new value,
+operator.add by default (penalty-coloring's max mode sets max).  The
+engine takes the tag None as the change 0, so combine(value, 0) must
+equal value for every value a run reaches.  expand_state composes the
+three into a (new_state, new_value, ok) triple for nodes whose key
+occurs once; it is also the reference for the tests.
 
 direction is the only ranking rule: 'min' keeps the smaller value
 (operator.lt), 'max' the larger (operator.gt), for table entries and
@@ -53,6 +53,7 @@ keyed by node index.
 """
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable
 
 from ..decomposition import INTRODUCE
@@ -100,10 +101,9 @@ class ProblemDefinition:
         ctx.  The default reads no weight: the tag is the change."""
         return tag
 
-    def combine(self, value, change):
-        """The new value after a change; a plugin that overrides this
-        is not additive, and the engine memoizes none of its nodes."""
-        return value + change
+    # combine(value, change) -> the new value after a change; run_dp
+    # adds inline while it is operator.add itself
+    combine = add
 
     def expand_state(self, state: tuple, ctx, action, value):
         """(new_state, new_value, ok): transition on ctx's shape, then

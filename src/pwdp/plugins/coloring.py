@@ -130,8 +130,8 @@ class PenaltyColoringProblem(CanonicalColoringProblem):
                     raise ParameterError(
                         f"mode 'max' needs penalties >= 0, edge ({u},{v}) "
                         f"has {graph.edge_penalty(u, v)}")
-            # the worst penalty so far, not a sum: value + change would
-            # be wrong, so the engine memoizes no node of this mode
+            # the worst penalty so far, not a sum; with penalties >= 0
+            # and values from 0, max(value, 0) is value, as combine needs
             self.combine = max
         self.mode = mode
 

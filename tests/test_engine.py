@@ -444,25 +444,29 @@ class TestMemo:
         grid = full_grid(4, 6)
         g = grid_to_graph(grid)
         npd, _ = grid_sweep_decomposition(grid)
-        plugin = make_plugin("cycle-cover", g)
-        calls = Counter()
-        transition = plugin.transition
+        # both plugins' actions follow from the shape, so the shape alone
+        # names a node key; max mode combines by max, not +
+        for name, mode, objective in [("cycle-cover", "sum", 1),
+                                      ("penalty-coloring", "max", 0)]:
+            plugin = make_plugin(name, g, mode=mode, C=3)
+            calls = Counter()
+            transition = plugin.transition
 
-        # cycle-cover's actions follow from the shape, so the shape
-        # alone names a node key
-        def counted(state, shape, action):
-            calls[shape, state, action] += 1
-            return transition(state, shape, action)
+            def counted(state, shape, action):
+                calls[shape, state, action] += 1
+                return transition(state, shape, action)
 
-        plugin.transition = counted
-        res = run_dp(plugin, g, npd)
-        assert res.objective == 1
-        assert max(calls.values()) == 1
-        # every state times every action at every node, as without a memo
-        sizes = [1] + [s.filled for s in res.stats[:-1]]
-        candidates = sum(size * len(plugin.set_of_actions(ctx))
-                         for size, ctx in zip(sizes, build_contexts(g, npd)))
-        assert sum(calls.values()) < candidates / 2
+            plugin.transition = counted
+            res = run_dp(plugin, g, npd)
+            assert res.objective == objective
+            assert max(calls.values()) == 1
+            # every state times every action at every node, as without a
+            # memo
+            sizes = [1] + [s.filled for s in res.stats[:-1]]
+            candidates = sum(
+                size * len(plugin.set_of_actions(ctx))
+                for size, ctx in zip(sizes, build_contexts(g, npd)))
+            assert sum(calls.values()) < candidates / 2
 
 
 class TestStateIds:
@@ -705,9 +709,16 @@ class TestKeyContexts:
             seen.append(ctx)
             return gain(self, ctx, action, tag)
 
+        chains = []
+        extract = plugin.extract_certificate
+
+        def recording_extract(chain):
+            chains.append([ctx for ctx, _prev, _action, _state in chain])
+            return extract(chain)
+
         plugin.expand_state = recording
-        if gain is not ProblemDefinition.gain:  # a default gain is not called
-            monkeypatch.setattr(type(plugin), "gain", recording_gain)
+        plugin.extract_certificate = recording_extract
+        monkeypatch.setattr(type(plugin), "gain", recording_gain)
         res = run_dp(plugin, g, npd, retain=True)
         reconstruct_solution(res)
         res.tables
@@ -717,6 +728,9 @@ class TestKeyContexts:
         # the contexts the plugin was handed, in the loop and the replays
         assert seen
         assert all(ctx == node_context(g, npd, ctx.index) for ctx in seen)
+        # and the reconstruction chain's, one per node in order
+        assert chains == [[node_context(g, npd, i)
+                           for i in range(len(npd.nodes))]]
 
     @pytest.mark.parametrize("name, mode", EVERY_PLUGIN)
     def test_replays_read_no_adjacency(self, name, mode, monkeypatch):
