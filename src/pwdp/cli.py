@@ -267,7 +267,12 @@ def _cmd_states(args):
         plugin = make_plugin(args.problem, Graph(n, []), **params)
     print(f"problem {plugin.name}")
     for nv in range(n + 1):
-        print(f"nv {nv} states {plugin.count_states(nv)}")
+        try:
+            count = str(plugin.count_states(nv))
+        except ValueError:  # past the interpreter's int-to-str limit
+            raise PwdpError(f"bag size {nv} has a state count too long "
+                            f"to print; pass a smaller --nv") from None
+        print(f"nv {nv} states {count}")
     return EXIT_OK
 
 

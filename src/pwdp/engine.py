@@ -24,13 +24,33 @@ engine never reads the adjacency again; it remakes a node's context
 from its key and bags (_key_context) only where it calls gain or
 expands.
 
+A table that recurs at a recurring key costs one lookup (the table
+memo, a hash-consing of tables).  While it is on, a table of at most
+TABLE_MEMO_STATES int values is also held as a shape and a base: base
+is its first value, and the shape is an interned id of its ordered
+(state id, value - base) pairs.  At a node of a recurring key, once the
+node's gains are read, (key id, shape, gains) looks up the step made
+the last time they met: the next shape, the base change, the origin map
+and the table size.  A hit builds no table; a table is built from its
+shape only where a node misses, expands straight, or the final
+selection reads it.  A miss records its step under the gains as they
+are after it, since the step may add slots.  This is exact: a shift of
+int values changes no comparison, and equal shapes make the same writes
+in the same order, so ties, origins and dict order come out the same.
+The memo runs only while combine is operator.add (max does not commute
+with the shift), never under validate, and only while the initial value
+and every gain are ints.  It stops for the rest of a run when fewer
+than half of its first TABLE_MEMO_TRIAL lookups hit.
+
 With retain, each node keeps only its origin map, from each state id to
 the id of the predecessor that last wrote it, and the run keeps its
-state list, key ids and key tuples.  Values are not kept: _replayer()
-walks the origins forward again and recomputes them, for reconstruction
-and for DpRunResult.tables.  Every run keeps one int per node, its
-table size; the per-node NodeStats records are made from those counts
-when asked for.
+state list, key ids and key tuples.  A node that hits the table memo
+shares the map of the node that made the step, so origin maps must not
+be mutated.  Values are not kept: _replayer() walks the origins forward
+again and recomputes them, for reconstruction and for
+DpRunResult.tables.  Every run keeps one int per node, its table size;
+the per-node NodeStats records are made from those counts when asked
+for.
 """
 from __future__ import annotations
 
@@ -44,6 +64,13 @@ from .errors import (
 )
 from .graph import Graph
 from .partition import crosses
+
+# the table memo keeps the shapes of tables this small (long-thin's
+# reach 12 states; grid-conn's peak memory grows from 256 on), and stops
+# for the rest of a run when fewer than half of its first TABLE_MEMO_TRIAL
+# lookups hit (a cycle-cover grid hits 36 of its first 97)
+TABLE_MEMO_STATES = 64
+TABLE_MEMO_TRIAL = 512
 
 
 class NodeShape(NamedTuple):
@@ -167,7 +194,9 @@ class DpRunResult:
     the winning state's id.  A retained run keeps states,
     the run's canonical states by id (id 0 is the empty state), and
     origin_ids, one map per node from each state id of its table to the
-    id of the predecessor that wrote it, a key of the map before.  It
+    id of the predecessor that wrote it, a key of the map before; the
+    nodes that hit one step of the table memo share one map object, so
+    callers must not mutate these maps.  It
     also keeps node_keys, each node's key id, and keys, the key tuples
     by id, (shape, action tuple), so that replays need no key
     pass and remake contexts without the graph.  origins and tables
@@ -357,6 +386,24 @@ def _replayer(result: DpRunResult):
     return replay
 
 
+def _shape_of(table, shape_ids, shape_pairs):
+    """(shape, base) of table: base is its first value, and shape the
+    index in shape_pairs of its ordered (state id, value - base) pairs,
+    interned through shape_ids.  (None, None) unless table holds 1 to
+    TABLE_MEMO_STATES values, all ints."""
+    values = table.values()
+    if (not 0 < len(table) <= TABLE_MEMO_STATES
+            or not all(type(value) is int for value in values)):
+        return None, None
+    base = next(iter(values))
+    pairs = tuple([(sid, value - base) for sid, value in table.items()])
+    shape = shape_ids.get(pairs)
+    if shape is None:
+        shape = shape_ids[pairs] = len(shape_pairs)
+        shape_pairs.append(pairs)
+    return shape, base
+
+
 def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
            capacity: int = 50_000_000, retain: bool = False,
            allowed: Optional[Dict[int, int]] = None,
@@ -374,13 +421,19 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     key has met, and combined with the predecessor's value by
     plugin.combine, inline when it is operator.add.  A key that occurs
     once expands each candidate straight through plugin.expand_state.
-    plugin.direction must be 'min' or 'max' (PluginInconsistencyError
-    otherwise); it alone ranks values.
+    At a recurring key, a table that recurs up to a shift of its values,
+    with the same gains, takes the next table, origin map and size from
+    the table memo (module docstring) in one lookup; such nodes share
+    their origin map.  plugin.direction must be 'min' or 'max'
+    (PluginInconsistencyError otherwise); it alone ranks values.
     allowed maps bag size to the noncrossing bound (catalan_allowed),
     reported and capacity-checked in place of count_states.  With
     validate, every produced state must lie in the enumerated canonical
-    set (generate_states) and, when allowed is given, must not cross.
-    With retain, each node's origin map (state id to the id of the
+    set (generate_states) and, when allowed is given, must not cross;
+    combine(value, 0) must equal value wherever a move with the tag None
+    carries a value on; and a run that adds from an int initial value
+    must keep every value an int, as the table memo needs.  With
+    retain, each node's origin map (state id to the id of the
     predecessor that wrote it) is kept for reconstruction, with the
     run's state list, the node key ids and the key tuples, and nothing
     else: no table and no context.  Every run keeps each node's table
@@ -428,8 +481,18 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     nodes = npd.nodes
     step = _stepper(plugin.transition, gain, ids, intern, nodes)
     table = {0: plugin.initial_value()}
+    ints = additive and type(table[0]) is int
     origins = [] if retain else None
     filled = []
+
+    # the table memo (module docstring): while shaping, a table of at
+    # most TABLE_MEMO_STATES int values is also held as (shape, base),
+    # and table is None while only they hold it.  steps maps (key id,
+    # shape, deltas) to (next shape, base change, origin map, filled)
+    shaping = ints and not validate
+    shape_ids, shape_pairs, steps = {}, [], {}
+    shape, base = _shape_of(table, shape_ids, shape_pairs)
+    hits = misses = 0
 
     for i, k in enumerate(node_keys):
         key = keys[k]
@@ -440,6 +503,30 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                 memo = memos[k] = ({}, {}, [0])
         else:
             memo = memos.pop(k, None)
+        if memo is not None:
+            moves_of, slots, deltas = memo
+            if slots:
+                # weights are read afresh at every node
+                ctx = _key_context(nodes, i, key)
+                actions = key[1]
+                for (ai, tag), slot in slots.items():
+                    delta = deltas[slot] = gain(ctx, actions[ai], tag)
+                    if shaping and type(delta) is not int:
+                        shaping = False
+            if shaping and shape is not None:
+                hit = steps.get((k, shape, tuple(deltas)))
+                if hit is not None:
+                    hits += 1
+                    shape, change, org, size = hit
+                    base += change
+                    table = None
+                    if retain:
+                        origins.append(org)
+                    filled.append(size)
+                    continue
+                misses += 1
+        if table is None:
+            table = {sid: base + delta for sid, delta in shape_pairs[shape]}
         nxt = {}
         org = {} if retain else None
         if memo is None:
@@ -462,13 +549,6 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                         if org is not None:
                             org[nid] = sid
         else:
-            moves_of, slots, deltas = memo
-            if slots:
-                # weights are read afresh at every node
-                ctx = _key_context(nodes, i, key)
-                actions = key[1]
-                for (ai, tag), slot in slots.items():
-                    deltas[slot] = gain(ctx, actions[ai], tag)
             for sid, value in table.items():
                 moves = moves_of.get(sid)
                 if moves is None:
@@ -484,7 +564,7 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
 
         if validate:
             legal = generate_states(plugin, len(nodes[i].order))
-            for nid in nxt:
+            for nid, new_value in nxt.items():
                 new_state = states[nid]
                 if new_state not in legal:
                     raise PluginInconsistencyError(
@@ -494,11 +574,34 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                     raise PluginInconsistencyError(
                         f"expansion produced crossing state {new_state} "
                         f"at node {i + 1}, outside the noncrossing bound")
+                if ints and type(new_value) is not int:
+                    raise PluginInconsistencyError(
+                        f"value {new_value!r} at node {i + 1} is not an "
+                        f"int, though the run adds from an int start")
+            for sid, value in table.items() if memo is not None else ():
+                kept = combine(value, 0)
+                if kept != value and any(
+                        slot == 0 for _nid, slot in moves_of[sid]):
+                    raise PluginInconsistencyError(
+                        f"combine({value!r}, 0) is {kept!r} at node "
+                        f"{i + 1}: a move with no change must keep its value")
+        if shaping:
+            # stop for good once most of the first lookups have missed
+            shaping = not hits < TABLE_MEMO_TRIAL // 2 < misses
+            looked, old_base = shape, base
+            shape, base = _shape_of(nxt, shape_ids, shape_pairs)
+            if looked is not None and memo is not None and shape is not None:
+                # a lookup missed: key on the deltas as they are after
+                # the step, which may have added slots
+                steps[k, looked, tuple(deltas)] = (
+                    shape, base - old_base, org, len(nxt))
         table = nxt
         if retain:
             origins.append(org)
         filled.append(len(table))
 
+    if table is None:
+        table = {sid: base + delta for sid, delta in shape_pairs[shape]}
     result = DpRunResult(feasible=False, filled=filled,
                          allowed=allowed_counts, plugin=plugin, graph=graph,
                          npd=npd)

@@ -27,7 +27,10 @@ weight keeps the default gain, which returns the tag: its transition
 returns the change itself.  combine(value, change) makes the new value,
 operator.add by default (penalty-coloring's max mode sets max).  The
 engine takes the tag None as the change 0, so combine(value, 0) must
-equal value for every value a run reaches.  expand_state composes the
+equal value for every value a run reaches.  Under operator.add, a
+plugin whose initial_value is an int keeps every change an int: the
+engine's table memo, which shifts values by a base, runs only on ints.
+run_dp(validate=True) checks both rules.  expand_state composes the
 three into a (new_state, new_value, ok) triple for nodes whose key
 occurs once; it is also the reference for the tests.
 

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from pwdp.decomposition import grid_sweep_decomposition
 from pwdp.engine import catalan_allowed, run_dp
 from pwdp.graph import grid_to_graph, parse_grid
 from pwdp.plugins import make_plugin
+from pwdp.plugins.replica import MwisProblem
 
 P4 = "graph 4 3\ne 1 2\ne 2 3\ne 3 4\n"
 K3 = "graph 3 3\ne 1 2\ne 1 3\ne 2 3\n"
@@ -135,6 +137,21 @@ def test_states_naive_count(capsys):
     code, out, _ = run(capsys, "states", "coloring", "-C", "3", "--nv", "4")
     assert code == 0
     assert "nv 4 states 81" in out.splitlines()
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this Python prints ints of any length")
+def test_states_count_too_long_to_print_fails_cleanly(monkeypatch, capsys):
+    # one digit past the interpreter's int-to-str limit, where str()
+    # raises ValueError
+    huge = 10 ** sys.get_int_max_str_digits()
+    monkeypatch.setattr(MwisProblem, "count_states",
+                        lambda self, nv: huge if nv == 3 else 2 ** nv)
+    code, out, err = run(capsys, "states", "mwis", "--nv", "14300")
+    assert code == 1
+    assert out.splitlines()[-1] == "nv 2 states 4"
+    assert err == ("error: bag size 3 has a state count too long to "
+                   "print; pass a smaller --nv\n")
 
 
 def test_states_rect_cover_builds_one_row(monkeypatch, capsys):

@@ -244,6 +244,25 @@ class TestValidateMode:
         res = run_dp(plugin, g, npd, validate=True)
         assert res.feasible
 
+    def test_combine_must_keep_a_value_under_no_change(self):
+        g = random_weight_path()
+        npd, _ = exact_pathwidth_decomposition(g)
+        run_dp(ZeroCountingMwis(g), g, npd)  # unchecked, it runs
+        with pytest.raises(PluginInconsistencyError,
+                           match=r"combine\(4, 0\) is 5 at node 2"):
+            run_dp(ZeroCountingMwis(g), g, npd, validate=True)
+
+    def test_an_int_run_must_keep_int_values(self):
+        g = random_weight_path()
+        npd, _ = exact_pathwidth_decomposition(g)
+        # unchecked, the run stays exact: the table memo needs ints and
+        # stays off
+        res = run_dp(HalfWeightMwis(g), g, npd)
+        assert res.objective == 17
+        with pytest.raises(PluginInconsistencyError,
+                           match=r"value 2\.0 at node 1 is not an int"):
+            run_dp(HalfWeightMwis(g), g, npd, validate=True)
+
     @pytest.mark.parametrize("name", PLUGIN_NAMES)
     def test_every_plugin_passes_and_matches(self, name):
         grid = full_grid(2, 3)
@@ -281,6 +300,23 @@ class TestValidateMode:
         run_dp(plugin, g, npd, validate=True)
         with pytest.raises(PluginInconsistencyError, match=r"\(1, 2, 1, 2\)"):
             run_dp(plugin, g, npd, validate=True, allowed=noncrossing)
+
+
+class ZeroCountingMwis(MwisProblem):
+    """Combines so that a move with no change still scores one: it breaks
+    combine(value, 0) == value."""
+
+    @staticmethod
+    def combine(value, change):
+        return value + change + (change == 0)
+
+
+class HalfWeightMwis(MwisProblem):
+    """Scores half of each vertex weight: a float change, though the
+    run starts from the int 0 and adds."""
+
+    def gain(self, ctx, action, tag):
+        return super().gain(ctx, action, tag) / 2
 
 
 def reference_tables(plugin, graph, npd):
@@ -467,6 +503,120 @@ class TestMemo:
                 size * len(plugin.set_of_actions(ctx))
                 for size, ctx in zip(sizes, build_contexts(g, npd)))
             assert sum(calls.values()) < candidates / 2
+
+
+def shared_origins(res):
+    """(i, j) for each node j whose origin map is node i's, i < j."""
+    first, pairs = {}, []
+    for j, org in enumerate(res.origin_ids):
+        i = first.setdefault(id(org), j)
+        if i != j:
+            pairs.append((i, j))
+    return pairs
+
+
+class TestTableMemo:
+    """A recurring key met with a recurring table, shifted by a base,
+    and the same gains costs one lookup: the node shares the origin map
+    of the node where the step was made, and builds no table."""
+
+    @staticmethod
+    def long_grid(name, mode="sum"):
+        grid = full_grid(2, 60)
+        g = grid_to_graph(grid)
+        npd, _ = grid_sweep_decomposition(grid)
+        return make_plugin(name, g, C=3, mode=mode), g, npd
+
+    @staticmethod
+    def assert_same_run(res, ref):
+        assert res.filled == ref.filled
+        assert ([list(t.items()) for t in res.tables]
+                == [list(t.items()) for t in ref.tables])
+        assert ([list(o.items()) for o in res.origins]
+                == [list(o.items()) for o in ref.origins])
+        assert (res.value, res.objective) == (ref.value, ref.objective)
+        assert reconstruct_solution(res) == reconstruct_solution(ref)
+
+    @pytest.mark.parametrize("name", ["coloring", "mwis"])
+    def test_long_grid_shares_origins_and_matches_the_checked_run(self,
+                                                                   name):
+        plugin, g, npd = self.long_grid(name)
+        res = run_dp(plugin, g, npd, retain=True)
+        origin_ids = res.origin_ids
+        assert len({id(o) for o in origin_ids}) < len(origin_ids) / 4
+        # validate keeps the memo off: one origin map per node
+        checked = run_dp(plugin, g, npd, retain=True, validate=True)
+        assert len({id(o) for o in checked.origin_ids}) == len(origin_ids)
+        self.assert_same_run(res, checked)
+        # reconstruction and the tables leave the shared maps as they were
+        assert res.origin_ids == checked.origin_ids
+
+    def test_tie_on_a_shifted_table_replays_the_first_writer(self):
+        # unit-weight mwis ties often: at a hit node whose table is a
+        # shifted copy of the recorded one, two candidates reach a state
+        # at its best value, and the run keeps the first
+        plugin, g, npd = self.long_grid("mwis")
+        res = run_dp(plugin, g, npd, retain=True)
+        tables = res.tables
+        contexts = list(build_contexts(g, npd))
+        tied = []
+        for i, j in shared_origins(res):
+            shifts = {b - a for a, b in zip(tables[i].values(),
+                                            tables[j].values())}
+            reached = Counter()
+            for state, value in tables[j - 1].items():
+                for action in plugin.set_of_actions(contexts[j]):
+                    new_state, new_value, ok = plugin.expand_state(
+                        state, contexts[j], action, value)
+                    if ok and new_value == tables[j][new_state]:
+                        reached[new_state] += 1
+            if shifts != {0} and max(reached.values()) > 1:
+                tied.append(j)
+        assert len(tied) > 10
+        _tables, origins = reference_tables(plugin, g, npd)
+        assert ([list(o.items()) for o in res.origins]
+                == [[(state, pred) for state, (pred, _ai) in o.items()]
+                    for o in origins])
+        assert reconstruct_solution(res) == reference_certificate(
+            plugin, g, npd, origins, res.final_state)
+
+    @staticmethod
+    def assert_matches_reference_loop(plugin, g, npd):
+        res = run_dp(plugin, g, npd, retain=True)
+        tables, origins = reference_tables(plugin, g, npd)
+        assert ([list(t.items()) for t in res.tables]
+                == [list(t.items()) for t in tables])
+        assert reconstruct_solution(res) == reference_certificate(
+            plugin, g, npd, origins, res.final_state)
+        return res
+
+    def test_max_mode_runs_without_the_memo(self):
+        # max does not commute with a shift of the values
+        plugin, g, npd = self.long_grid("penalty-coloring", mode="max")
+        res = self.assert_matches_reference_loop(plugin, g, npd)
+        assert shared_origins(res) == []
+
+    def test_weighted_band_matches_the_reference_loop(self):
+        # its gains seldom repeat a step: the first 257 lookups miss,
+        # and the memo stops there
+        g, npd = band(400, 4, seed=5, weighted=True)
+        self.assert_matches_reference_loop(make_plugin("mwis", g), g, npd)
+
+    def test_float_gain_mid_run_stops_the_memo(self):
+        # 1.0 equals the int gains of the steps recorded before it, but
+        # each value it is added to becomes a float, which a hit would
+        # hide
+        grid = full_grid(2, 60)
+        g = grid_to_graph(grid)
+        g = Graph(g.n, g.edges, vertex_weights={100: 1.0})
+        npd, _ = grid_sweep_decomposition(grid)
+        res = self.assert_matches_reference_loop(make_plugin("mwis", g), g,
+                                                 npd)
+        assert repr(res.objective) == "60.0"
+        weighted = [i for i, node in enumerate(npd.nodes)
+                    if node.vertex == 100][0]
+        assert shared_origins(res)
+        assert all(j < weighted for _i, j in shared_origins(res))
 
 
 class TestStateIds:
