@@ -265,14 +265,15 @@ def _cmd_states(args):
     else:
         params = _collect_params(args, None)
         plugin = make_plugin(args.problem, Graph(n, []), **params)
-    print(f"problem {plugin.name}")
+    # render every count first: one too long to print fails with no output
+    lines = [f"problem {plugin.name}"]
     for nv in range(n + 1):
         try:
-            count = str(plugin.count_states(nv))
+            lines.append(f"nv {nv} states {plugin.count_states(nv)}")
         except ValueError:  # past the interpreter's int-to-str limit
             raise PwdpError(f"bag size {nv} has a state count too long "
                             f"to print; pass a smaller --nv") from None
-        print(f"nv {nv} states {count}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

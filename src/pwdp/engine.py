@@ -18,11 +18,11 @@ dropped when the run returns; only the state list is kept.
 A plugin moves a state in two halves (plugins/base.py): transition
 reads only the node's shape, gain the node's own weights.  One walk over
 the nodes (build_contexts) makes each node's context from the running
-bag, the recorded forget positions and the graph's adjacency, and gives
-each node its key id, from its shape and action list.  After it the
-engine never reads the adjacency again; it remakes a node's context
-from its key and bags (_key_context) only where it calls gain or
-expands.
+bag, the recorded forget positions and the graph's adjacency, once per
+run; the key pass gives each node its key id, from its shape and action
+list.  After it the engine never reads the adjacency again: the gain
+reads, the straight expansions and the replays all take node i's
+context from the run's list.
 
 A table that recurs at a recurring key costs one lookup (the table
 memo, a hash-consing of tables).  While it is on, a table of at most
@@ -44,10 +44,10 @@ than half of its first TABLE_MEMO_TRIAL lookups hit.
 
 With retain, each node keeps only its origin map, from each state id to
 the id of the predecessor that last wrote it, and the run keeps its
-state list, key ids and key tuples.  A node that hits the table memo
-shares the map of the node that made the step, so origin maps must not
-be mutated.  Values are not kept: _replayer() walks the origins forward
-again and recomputes them, for reconstruction and for
+state list, key ids, key tuples and contexts.  A node that hits the
+table memo shares the map of the node that made the step, so origin
+maps must not be mutated.  Values are not kept: _replayer() walks the
+origins forward again and recomputes them, for reconstruction and for
 DpRunResult.tables.  Every run keeps one int per node, its table size;
 the per-node NodeStats records are made from those counts when asked
 for.
@@ -55,7 +55,7 @@ for.
 from __future__ import annotations
 
 from operator import add, attrgetter, gt, lt
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .decomposition import NicePathDecomposition
 from .errors import (
@@ -107,25 +107,23 @@ class NodeCtx(NamedTuple):
 
 
 def build_contexts(graph: Graph, npd: NicePathDecomposition
-                   ) -> Iterator[NodeCtx]:
-    """Check now, in O(n + m), that npd covers every vertex and edge of
-    graph (npd.validate), then return a lazy iterator that makes one
-    context per node as the walk reaches it.
+                   ) -> List[NodeCtx]:
+    """Check, in O(n + m), that npd covers every vertex and edge of
+    graph (npd.validate), then make every node's context, in node order.
 
-    The walk carries the bag before each node along, takes each forget's
+    One walk carries the bag before each node along, takes each forget's
     position from npd.positions (recorded when npd checked its nodes)
     and reads the neighbors from graph.adjacency, with one object per
-    distinct shape.
+    distinct shape.  run_dp makes this list once per run, and every
+    later reader of a context takes it from there.
     """
     npd.validate(graph)
-    return _walk_contexts(graph.adjacency, npd.nodes, npd.positions)
-
-
-def _walk_contexts(adjacency, nodes, positions) -> Iterator[NodeCtx]:
-    last = len(nodes) - 1
+    adjacency, positions = graph.adjacency, npd.positions
+    last = len(npd.nodes) - 1
     prev = ()
     shapes = {}
-    for i, (kind, v, order) in enumerate(nodes):
+    contexts = []
+    for i, (kind, v, order) in enumerate(npd.nodes):
         near = adjacency.get(v, ())
         fields = (kind, positions[i],
                   tuple([j for j, u in enumerate(prev) if u in near]),
@@ -133,14 +131,9 @@ def _walk_contexts(adjacency, nodes, positions) -> Iterator[NodeCtx]:
         shape = shapes.get(fields)
         if shape is None:
             shape = shapes[fields] = NodeShape(*fields)
-        yield NodeCtx(i, v, prev, shape)
+        contexts.append(NodeCtx(i, v, prev, shape))
         prev = order
-
-
-def _key_context(nodes, i: int, key: tuple) -> NodeCtx:
-    """Node i's context remade from its node key, (shape, actions), and
-    the bag before it, without reading the graph."""
-    return NodeCtx(i, nodes[i].vertex, nodes[i - 1].order, key[0])
+    return contexts
 
 
 def generate_states(plugin, nv: int) -> frozenset:
@@ -196,20 +189,21 @@ class DpRunResult:
     origin_ids, one map per node from each state id of its table to the
     id of the predecessor that wrote it, a key of the map before; the
     nodes that hit one step of the table memo share one map object, so
-    callers must not mutate these maps.  It
-    also keeps node_keys, each node's key id, and keys, the key tuples
-    by id, (shape, action tuple), so that replays need no key
-    pass and remake contexts without the graph.  origins and tables
-    decode the ids on access to the state objects in states; the tables
-    themselves are not kept, the tables property replays them.
+    callers must not mutate these maps.  It also keeps node_keys, each
+    node's key id, keys, the key tuples by id, (shape, action tuple),
+    and contexts, the run's own NodeCtx of each node, so that replays
+    need no key pass and make no context.  origins and tables decode the
+    ids on access to the state objects in states; the tables themselves
+    are not kept, the tables property replays them.
     """
     def __init__(self, feasible: bool, value: object = None,
                  objective: object = None, final_state: tuple = None,
                  filled: Optional[List[int]] = None,
                  allowed: Optional[Dict[int, int]] = None,
-                 plugin: object = None, graph: object = None,
-                 npd: object = None, node_keys: Optional[list] = None,
-                 keys: Optional[list] = None, states: Optional[list] = None,
+                 plugin: object = None, npd: object = None,
+                 node_keys: Optional[list] = None, keys: Optional[list] = None,
+                 contexts: Optional[List[NodeCtx]] = None,
+                 states: Optional[list] = None,
                  origin_ids: Optional[list] = None,
                  final_id: Optional[int] = None, certificate: object = None):
         self.feasible = feasible
@@ -219,10 +213,10 @@ class DpRunResult:
         self.filled = [] if filled is None else filled
         self.allowed = {} if allowed is None else allowed
         self.plugin = plugin
-        self.graph = graph
         self.npd = npd
         self.node_keys = node_keys
         self.keys = keys
+        self.contexts = contexts
         self.states = states
         self.origin_ids = origin_ids
         self.final_id = final_id
@@ -261,12 +255,11 @@ class DpRunResult:
         if self.origin_ids is None:
             return None
         replay = _replayer(self)
-        states, nodes = self.states, self.npd.nodes
+        states = self.states
         values = {0: self.plugin.initial_value()}
         tables = []
-        for i, (k, org) in enumerate(zip(self.node_keys, self.origin_ids)):
-            ctx = _key_context(nodes, i, self.keys[k])
-            values = {sid: replay(i, pred, values[pred], sid, ctx)[1]
+        for i, org in enumerate(self.origin_ids):
+            values = {sid: replay(i, pred, values[pred], sid)[1]
                       for sid, pred in org.items()}
             tables.append({states[sid]: value
                            for sid, value in values.items()})
@@ -299,14 +292,14 @@ def _interner(normalize, ids, states):
     return intern
 
 
-def _stepper(transition, gain, ids, intern, nodes):
+def _stepper(transition, gain, ids, intern, contexts):
     """step(state, i, key, memo) -> [(next id, slot)] for each action
     that applies to state at node i, in action order.  memo is the key's
     (moves by state, slots, deltas): slots numbers each distinct
     (action index, tag), and deltas holds each slot's change at the
     current node, 0 for the tag None's slot 0.  gain gives a new slot's
-    change at node i; the loop re-reads every slot's at each later
-    node."""
+    change at node i, from contexts[i]; the loop re-reads every slot's
+    at each later node."""
     def step(state, i, key, memo):
         shape, actions = key
         _moves, slots, deltas = memo
@@ -322,38 +315,39 @@ def _stepper(transition, gain, ids, intern, nodes):
             slot = 0 if tag is None else slots.get((ai, tag))
             if slot is None:
                 slot = slots[ai, tag] = len(deltas)
-                deltas.append(gain(_key_context(nodes, i, key), action, tag))
+                deltas.append(gain(contexts[i], action, tag))
             moves.append((nid, slot))
         return moves
     return step
 
 
 def _replayer(result: DpRunResult):
-    """replay(i, pred, value, state, ctx) -> (action, new value) for the
-    first action from state id pred at node i, whose context is ctx, in
-    action order, whose next state is states[state] and whose new value
-    is best by the plugin's direction.
+    """replay(i, pred, value, state) -> (action, new value) for the
+    first action from state id pred at node i, in action order, whose
+    next state is states[state] and whose new value is best by the
+    plugin's direction.
 
     When pred is state's origin and value is pred's table value, this is
     the action that wrote state's final table entry and that entry's
     value: the first writer among the candidates that reached the best
     value, since a later equal candidate never overwrites.  The
     transitions of each (key, pred) pair are computed once, as the
-    run's memo does, and each value from gain at node i itself.  A
-    replay reads states only by id: it normalizes through its own raw
-    -> canonical cache and compares canonical states, which are equal
-    exactly when their ids are.
+    run's memo does, and each value from gain at node i itself, on the
+    run's own context of the node (result.contexts).  A replay reads
+    states only by id: it normalizes through its own raw -> canonical
+    cache and compares canonical states, which are equal exactly when
+    their ids are.
     """
     plugin = result.plugin
     node_keys, keys = result.node_keys, result.keys
-    states = result.states
+    contexts, states = result.contexts, result.states
     transition, gain, combine = plugin.transition, plugin.gain, plugin.combine
     normalize = plugin.normalize
     canonical = {}
     better = _better(plugin)
     cache = {}
 
-    def replay(i, pred, value, state, ctx):
+    def replay(i, pred, value, state):
         k = node_keys[i]
         moves = cache.get((k, pred))
         if moves is None:
@@ -374,7 +368,8 @@ def _replayer(result: DpRunResult):
             if canon == target:
                 new_value = value
                 if tag is not None:
-                    new_value = combine(value, gain(ctx, action, tag))
+                    new_value = combine(value,
+                                        gain(contexts[i], action, tag))
                 if best is None or better(new_value, best[1]):
                     best = (action, new_value)
         if best is None:
@@ -411,12 +406,14 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     """Run the generic DP loop and select the best valid final state.
 
     Each node moves every predecessor state under every action in
-    order, normalizes the result and merges it into the next table.  A
-    key pass first gives each node its key id, (shape, actions).  At a
+    order, normalizes the result and merges it into the next table.
+    build_contexts first makes every node's context, the one object the
+    run hands plugin.set_of_actions, gain and expand_state at that node,
+    and a key pass gives each node its key id, (shape, actions).  At a
     key that recurs, each state's transitions are computed with
-    plugin.transition at the first node that meets the state and
-    reused at the key's later nodes, with no transition or normalize
-    call; the key's memo is dropped after its last node.  Value changes
+    plugin.transition at the first node that meets the state and reused
+    at the key's later nodes, with no transition or normalize call; the
+    key's memo is dropped after its last node.  Value changes
     are read at every node, gain once per distinct (action, tag) the
     key has met, and combined with the predecessor's value by
     plugin.combine, inline when it is operator.add.  A key that occurs
@@ -435,9 +432,9 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     must keep every value an int, as the table memo needs.  With
     retain, each node's origin map (state id to the id of the
     predecessor that wrote it) is kept for reconstruction, with the
-    run's state list, the node key ids and the key tuples, and nothing
-    else: no table and no context.  Every run keeps each node's table
-    size (DpRunResult.filled) and each bag size's reported bound
+    run's state list, the node key ids, the key tuples and the
+    contexts, and no table.  Every run keeps each node's table size
+    (DpRunResult.filled) and each bag size's reported bound
     (DpRunResult.allowed).  The plugin must be bound to graph itself,
     since gain reads weights from there.
     """
@@ -458,12 +455,13 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                                     f"over the capacity of {capacity}")
             allowed_counts[nv] = count
 
+    contexts = build_contexts(graph, npd)
     # a transition reads only the node's shape and its action, so nodes
     # with equal keys move every state alike; left counts each key's
     # nodes still to come
     key_ids = {}
     node_keys = []
-    for ctx in build_contexts(graph, npd):
+    for ctx in contexts:
         key = (ctx.shape, tuple(plugin.set_of_actions(ctx)))
         node_keys.append(key_ids.setdefault(key, len(key_ids)))
     keys = list(key_ids)
@@ -478,8 +476,7 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     states = [plugin.empty_state()]
     ids = {states[0]: 0}
     intern = _interner(plugin.normalize, ids, states)
-    nodes = npd.nodes
-    step = _stepper(plugin.transition, gain, ids, intern, nodes)
+    step = _stepper(plugin.transition, gain, ids, intern, contexts)
     table = {0: plugin.initial_value()}
     ints = additive and type(table[0]) is int
     origins = [] if retain else None
@@ -507,7 +504,7 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
             moves_of, slots, deltas = memo
             if slots:
                 # weights are read afresh at every node
-                ctx = _key_context(nodes, i, key)
+                ctx = contexts[i]
                 actions = key[1]
                 for (ai, tag), slot in slots.items():
                     delta = deltas[slot] = gain(ctx, actions[ai], tag)
@@ -531,7 +528,7 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
         org = {} if retain else None
         if memo is None:
             # a key no later node carries: expand straight into nxt
-            ctx = _key_context(nodes, i, key)
+            ctx = contexts[i]
             actions = key[1]
             for sid, value in table.items():
                 state = states[sid]
@@ -563,7 +560,7 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
                             org[nid] = sid
 
         if validate:
-            legal = generate_states(plugin, len(nodes[i].order))
+            legal = generate_states(plugin, len(npd.nodes[i].order))
             for nid, new_value in nxt.items():
                 new_state = states[nid]
                 if new_state not in legal:
@@ -603,11 +600,11 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     if table is None:
         table = {sid: base + delta for sid, delta in shape_pairs[shape]}
     result = DpRunResult(feasible=False, filled=filled,
-                         allowed=allowed_counts, plugin=plugin, graph=graph,
-                         npd=npd)
+                         allowed=allowed_counts, plugin=plugin, npd=npd)
     if retain:
         result.node_keys = node_keys
         result.keys = keys
+        result.contexts = contexts
         result.states = states
         result.origin_ids = origins
     best_id = None
@@ -633,14 +630,14 @@ def reconstruct_solution(result: DpRunResult):
     it.
 
     A backward walk follows the origin ids from the winning final state
-    to node 1.  A forward walk then remakes each node's context from its
-    node key and the bag before it (_key_context), and replays it from the
-    predecessor's value (_replayer), which picks the action the run took
-    and recomputes the value; a final value other than result.value
-    means the plugin has changed since the run.  The (ctx, prev, action,
-    state) chain goes to the plugin's certificate builder, and a
-    certificate that plugin.check_certificate rejects, or scores other
-    than result.objective, raises PluginInconsistencyError.
+    to node 1.  A forward walk then replays each node on the run's own
+    context (result.contexts) from the predecessor's value (_replayer),
+    which picks the action the run took and recomputes the value; a
+    final value other than result.value means the plugin has changed
+    since the run.  The (ctx, prev, action, state) chain goes to the
+    plugin's certificate builder, and a certificate that
+    plugin.check_certificate rejects, or scores other than
+    result.objective, raises PluginInconsistencyError.
     """
     if not result.feasible:
         raise ReconstructionUnavailableError("run was infeasible")
@@ -653,12 +650,11 @@ def reconstruct_solution(result: DpRunResult):
         path.append(org[path[-1]])
     path.reverse()
     replay = _replayer(result)
-    keys, states, nodes = result.keys, result.states, result.npd.nodes
+    states = result.states
     chain = []
     value = plugin.initial_value()
-    for i, (k, prev, sid) in enumerate(zip(result.node_keys, path, path[1:])):
-        ctx = _key_context(nodes, i, keys[k])
-        action, value = replay(i, prev, value, sid, ctx)
+    for ctx, prev, sid in zip(result.contexts, path, path[1:]):
+        action, value = replay(ctx.index, prev, value, sid)
         chain.append((ctx, states[prev], action, states[sid]))
     if value != result.value:
         raise PluginInconsistencyError(

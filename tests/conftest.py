@@ -8,8 +8,7 @@ from pwdp.engine import NodeCtx, NodeShape
 def node_context(graph, npd, i):
     """The context of node i (0-based) of a decomposition already
     validated against graph, made from the graph alone: the reference
-    that the engine's walk over the nodes, and every context it remakes
-    from a node key, must equal.
+    that the engine's walk over the nodes (build_contexts) must equal.
 
     The final bag is empty, so nodes[i - 1].order is the bag before node
     i at i = 0 too.  A vertex is not its own neighbor, so at a forget

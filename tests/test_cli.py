@@ -149,7 +149,8 @@ def test_states_count_too_long_to_print_fails_cleanly(monkeypatch, capsys):
                         lambda self, nv: huge if nv == 3 else 2 ** nv)
     code, out, err = run(capsys, "states", "mwis", "--nv", "14300")
     assert code == 1
-    assert out.splitlines()[-1] == "nv 2 states 4"
+    # no count is written before the one that fails
+    assert out == ""
     assert err == ("error: bag size 3 has a state count too long to "
                    "print; pass a smaller --nv\n")
 

@@ -10,7 +10,7 @@ from pwdp.decomposition import (
     exact_pathwidth_decomposition, grid_sweep_decomposition, nicify,
 )
 from pwdp.engine import (
-    NodeCtx, NodeStats, _key_context, build_contexts,
+    NodeCtx, NodeStats, build_contexts,
     catalan_allowed, crosses, generate_states, reconstruct_solution, run_dp,
 )
 from pwdp.errors import (
@@ -766,10 +766,9 @@ class TestCertificateCheck:
 
 
 class TestKeyReplay:
-    """After the key pass the engine works from node key ids: the loop
-    makes a context only where it expands or reads weights, and a
-    replay computes the transitions of each (key, predecessor) pair
-    once."""
+    """The run makes each node's context once, in build_contexts, and
+    every later reader takes it from the run's list; a replay computes
+    the transitions of each (key, predecessor) pair once."""
 
     @staticmethod
     def long_path(name):
@@ -779,46 +778,22 @@ class TestKeyReplay:
         return make_plugin(name, g, C=3), g, npd
 
     @pytest.mark.parametrize("name", ["mwis", "coloring"])
-    def test_loop_makes_no_context_where_every_state_replays(
-            self, name, monkeypatch):
+    def test_run_makes_each_context_once(self, name, monkeypatch):
         plugin, g, npd = self.long_path(name)
-        expanded = Counter()
-        expand = plugin.expand_state
-
-        def counted(state, ctx, action, value):
-            expanded[ctx.index] += 1
-            return expand(state, ctx, action, value)
-
         made = Counter()
 
         def recording(*fields):
             made[fields[0]] += 1
             return NodeCtx(*fields)
 
-        gained = Counter()
-        gain = type(plugin).gain
-
-        def counted_gain(self, ctx, action, tag):
-            gained[ctx.index] += 1
-            return gain(self, ctx, action, tag)
-
-        plugin.expand_state = counted
-        if name == "mwis":  # coloring reads no weight and keeps no gain
-            monkeypatch.setattr(MwisProblem, "gain", counted_gain)
         monkeypatch.setattr("pwdp.engine.NodeCtx", recording)
-        run_dp(plugin, g, npd, retain=True)
-        # the key pass makes every context once, the loop once more at
-        # each node that expands something or reads its weights: mwis's
-        # introduce nodes, whose select gains the vertex weight
-        replayed = [i for i in range(len(npd.nodes)) if not expanded[i]]
-        assert len(replayed) > len(npd.nodes) / 2
-        assert all(made[i] == 1 for i in replayed if not gained[i])
-        assert all(made[i] == 2 for i in expanded)
-        assert all(made[i] == 2 and gained[i] == 1
-                   for i in gained if not expanded[i])
-        introduced = [i for i in replayed if npd.nodes[i].kind == INTRODUCE]
-        assert ([i for i in replayed if gained[i]]
-                == (introduced if name == "mwis" else []))
+        res = run_dp(plugin, g, npd, retain=True)
+        assert made == Counter(range(len(npd.nodes)))
+        # reconstruction and the tables replay on the run's contexts
+        made.clear()
+        reconstruct_solution(res)
+        assert len(res.tables) == len(npd.nodes)
+        assert made == Counter()
 
     @pytest.mark.parametrize("name", ["mwis", "coloring"])
     def test_reconstruction_expands_each_key_pred_action_once(self, name):
@@ -839,8 +814,8 @@ class TestKeyReplay:
 
 
 class TestKeyContexts:
-    """After the key pass, node contexts are remade from the node keys
-    and the bags, never from the graph."""
+    """Each node's context is made once per run from the graph, and the
+    loop, the replays and the certificate chain all read that one."""
 
     @pytest.mark.parametrize("name, mode", EVERY_PLUGIN)
     def test_key_context_equals_graph_context(self, name, mode, monkeypatch,
@@ -872,15 +847,18 @@ class TestKeyContexts:
         res = run_dp(plugin, g, npd, retain=True)
         reconstruct_solution(res)
         res.tables
-        for i, k in enumerate(res.node_keys):
-            assert (_key_context(npd.nodes, i, res.keys[k])
-                    == node_context(g, npd, i))
-        # the contexts the plugin was handed, in the loop and the replays
+        assert res.contexts == [node_context(g, npd, i)
+                                for i in range(len(npd.nodes))]
+        # the contexts the plugin was handed, in the loop and the
+        # replays, are the run's own objects
         assert seen
-        assert all(ctx == node_context(g, npd, ctx.index) for ctx in seen)
-        # and the reconstruction chain's, one per node in order
-        assert chains == [[node_context(g, npd, i)
-                           for i in range(len(npd.nodes))]]
+        assert all(ctx is res.contexts[ctx.index] for ctx in seen)
+        # and so are the reconstruction chain's, one per node in order
+        assert len(chains) == 1
+        assert len(chains[0]) == len(res.contexts)
+        assert all(ctx is own for ctx, own in zip(chains[0], res.contexts))
+        # a run that keeps no origins keeps no contexts either
+        assert run_dp(plugin, g, npd).contexts is None
 
     @pytest.mark.parametrize("name, mode", EVERY_PLUGIN)
     def test_replays_read_no_adjacency(self, name, mode, monkeypatch):

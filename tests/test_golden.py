@@ -8,6 +8,8 @@ that varies between runs.  The cases:
 - the seed-1 `--reconstruct` solves of the benchmark's grid-conn,
   long-thin and file-decomp workloads, written into a temporary
   directory by perfbench/instances.py;
+- the seed-1 file-decomp penalty band again with `--mode max`, the
+  one plugin mode that combines by max, not by addition;
 - `--dump-tables --reconstruct` on each EVERY_PLUGIN case of
   test_engine.py, its weighted graph and its grid sweep written as an
   instance file and a decomposition file (rect-cover: the grid file).
@@ -78,6 +80,8 @@ def golden_cases(workdir):
         folder.mkdir()
         for inst in instances.generate(workload, entries, variant, folder):
             cases[f"{workload}/{inst.name}"] = inst.argv
+    band = "file-decomp/01-penalty-coloring"
+    cases[f"{band}-max"] = cases[band] + ["--mode", "max"]
     for name, mode in EVERY_PLUGIN:
         cases[f"tables/{name}-{mode}"] = _plugin_case(name, mode, workdir)
     return cases
