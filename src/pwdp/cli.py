@@ -15,8 +15,8 @@ import time
 from pathlib import Path
 
 from .decomposition import (
-    exact_pathwidth_decomposition, grid_sweep_decomposition, nicify,
-    parse_decomposition,
+    EXACT_MAX_N, exact_pathwidth_decomposition, grid_sweep_decomposition,
+    nicify, parse_decomposition,
 )
 from .engine import catalan_allowed, reconstruct_solution, run_dp
 from .errors import PwdpError
@@ -26,8 +26,6 @@ from .plugins import PLUGIN_NAMES, make_plugin
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
-
-EXACT_TINY_LIMIT = 12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,11 +158,11 @@ def _resolve_decomp(args, graph, grid):
         return npd
     if choice == "auto":
         choice = ("grid-sweep" if grid is not None
-                  else "exact-tiny" if graph.n <= EXACT_TINY_LIMIT
+                  else "exact-tiny" if graph.n <= EXACT_MAX_N
                   else None)
         if choice is None:
             raise PwdpError(
-                f"graph has {graph.n} > {EXACT_TINY_LIMIT} vertices; "
+                f"graph has {graph.n} > {EXACT_MAX_N} vertices; "
                 "pass --decomp <file>")
     if choice == "grid-sweep":
         if grid is None:

@@ -312,7 +312,10 @@ def grid_sweep_decomposition(grid: PartialGrid, transpose="auto", widen=False):
     return npd, do_t
 
 
-def exact_pathwidth_decomposition(graph: Graph, max_n: int = 12):
+EXACT_MAX_N = 12
+
+
+def exact_pathwidth_decomposition(graph: Graph, max_n: int = EXACT_MAX_N):
     """Optimal-width nice decomposition by vertex-separation search.
 
     Exhaustive over vertex subsets, so only small graphs are accepted.

@@ -90,9 +90,9 @@ class NodeShape(NamedTuple):
 
 
 class NodeCtx(NamedTuple):
-    """Everything set_of_actions, gain and certificate extraction may
-    ask about one node: its index, vertex, the bag before it and its
-    shape, whose fields read as the context's own (ctx.kind is
+    """Everything a plugin's introduce_actions, gain and certificate
+    extraction may ask about one node: its index, vertex, the bag before
+    it and its shape, whose fields read as the context's own (ctx.kind is
     ctx.shape.kind).  Plugins read weights, penalties and costs from
     their bound graph."""
     index: int
@@ -196,31 +196,23 @@ class DpRunResult:
     ids on access to the state objects in states; the tables themselves
     are not kept, the tables property replays them.
     """
-    def __init__(self, feasible: bool, value: object = None,
-                 objective: object = None, final_state: tuple = None,
-                 filled: Optional[List[int]] = None,
-                 allowed: Optional[Dict[int, int]] = None,
-                 plugin: object = None, npd: object = None,
-                 node_keys: Optional[list] = None, keys: Optional[list] = None,
-                 contexts: Optional[List[NodeCtx]] = None,
-                 states: Optional[list] = None,
-                 origin_ids: Optional[list] = None,
-                 final_id: Optional[int] = None, certificate: object = None):
-        self.feasible = feasible
-        self.value = value            # raw table value of the winning state
-        self.objective = objective    # final_value of the winning state
-        self.final_state = final_state
-        self.filled = [] if filled is None else filled
-        self.allowed = {} if allowed is None else allowed
+    def __init__(self, filled: List[int], allowed: Dict[int, int],
+                 plugin, npd: NicePathDecomposition):
+        self.feasible = False
+        self.value = None             # raw table value of the winning state
+        self.objective = None         # final_value of the winning state
+        self.final_state = None
+        self.filled = filled
+        self.allowed = allowed
         self.plugin = plugin
         self.npd = npd
-        self.node_keys = node_keys
-        self.keys = keys
-        self.contexts = contexts
-        self.states = states
-        self.origin_ids = origin_ids
-        self.final_id = final_id
-        self.certificate = certificate  # set by the solver facade when retained
+        self.node_keys = None
+        self.keys = None
+        self.contexts = None
+        self.states = None
+        self.origin_ids = None
+        self.final_id = None
+        self.certificate = None  # set by the solver facade when retained
 
     @property
     def stats(self) -> List[NodeStats]:
@@ -409,7 +401,9 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
     order, normalizes the result and merges it into the next table.
     build_contexts first makes every node's context, the one object the
     run hands plugin.set_of_actions, gain and expand_state at that node,
-    and a key pass gives each node its key id, (shape, actions).  At a
+    and a key pass gives each node its key id, (shape, actions), the
+    actions being set_of_actions(ctx): the plugin base's FORGET_ACTION
+    at a forget, the plugin's introduce_actions at an introduce.  At a
     key that recurs, each state's transitions are computed with
     plugin.transition at the first node that meets the state and reused
     at the key's later nodes, with no transition or normalize call; the
@@ -597,10 +591,8 @@ def run_dp(plugin, graph: Graph, npd: NicePathDecomposition, *,
             origins.append(org)
         filled.append(len(table))
 
-    if table is None:
-        table = {sid: base + delta for sid, delta in shape_pairs[shape]}
-    result = DpRunResult(feasible=False, filled=filled,
-                         allowed=allowed_counts, plugin=plugin, npd=npd)
+    # table is set: only the last node's key has is_last, so it never hits
+    result = DpRunResult(filled, allowed_counts, plugin, npd)
     if retain:
         result.node_keys = node_keys
         result.keys = keys

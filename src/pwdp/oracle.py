@@ -1,8 +1,8 @@
 """Brute-force reference solvers.
 
 Every solver here finds the exact optimum by exhaustive search over a
-small instance: enumeration, or for path cover a DP over vertex
-subsets.  None of them look at path decompositions or share the
+small instance: enumeration, or for path and cycle cover a DP over
+vertex subsets.  None of them look at path decompositions or share the
 DP machinery of the main solvers; they exist to cross-check results and
 to pin expected values in tests.  oracle_solve checks parameters by
 building the problem's plugin, as pwdp solve does, so both reject the
@@ -127,56 +127,56 @@ def oracle_path_cover(g: Graph) -> OracleResult:
     return OracleResult(True, breaks + 1, edges)
 
 
-def _block_cycle(g, block):
-    """A Hamiltonian cycle of the induced subgraph, or None."""
-    block = sorted(block)
-    if len(block) < 3:
-        return None
-    first = block[0]
-    for perm in itertools.permutations(block[1:]):
-        cyc = (first,) + perm
-        if all(g.adjacent(cyc[i], cyc[(i + 1) % len(cyc)])
-               for i in range(len(cyc))):
-            return [tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)])))
-                    for i in range(len(cyc))]
-    return None
-
-
 def oracle_cycle_cover(g: Graph) -> OracleResult:
-    """Minimum number of vertex-disjoint cycles (length >= 3) covering V."""
+    """Minimum number of vertex-disjoint cycles (length >= 3) covering V,
+    by two DPs over vertex subsets.  ends[s] holds the vertices of s where
+    a path from s's lowest vertex through all of s can end (Held-Karp), so
+    s is a cycle block when it has 3 or more vertices and one such end is
+    adjacent to its lowest.  cover(s) is then the fewest blocks covering
+    s, each holding the lowest vertex not yet covered, and the block
+    taken first.  The certificate is the edges of the chosen blocks."""
     _check_size(g.n)
-    cycle_memo = {}
+    n, full = g.n, (1 << g.n) - 1
+    near = [sum(1 << (u - 1) for u in g.neighbors(v)) for v in g.vertices()]
+    ends = [0] * (full + 1)
+    blocks = [[] for _ in range(n)]   # the cycle blocks by lowest vertex
+    for s in range(1, full + 1):
+        low = (s & -s).bit_length() - 1
+        if s == 1 << low:
+            ends[s] = s
+            continue
+        for v in range(low + 1, n):
+            if s >> v & 1 and ends[s ^ 1 << v] & near[v]:
+                ends[s] |= 1 << v
+        if ends[s] & near[low] and bin(s).count("1") >= 3:
+            blocks[low].append(s)
+    best = {0: (0, 0)}
 
-    def has_cycle(block):
-        key = frozenset(block)
-        if key not in cycle_memo:
-            cycle_memo[key] = _block_cycle(g, block)
-        return cycle_memo[key]
+    def cover(s):
+        if s not in best:
+            low = (s & -s).bit_length() - 1
+            best[s] = min(((cover(s ^ b)[0] + 1, b) for b in blocks[low]
+                           if b & s == b), default=(n + 1, 0))
+        return best[s]
 
-    best = [None, None]
-
-    def rec(remaining, blocks):
-        if best[0] is not None and len(blocks) >= best[0]:
-            return
-        if not remaining:
-            best[0] = len(blocks)
-            best[1] = [b for b in blocks]
-            return
-        anchor = min(remaining)
-        rest = sorted(remaining - {anchor})
-        for size in range(2, len(rest) + 1):
-            for extra in itertools.combinations(rest, size):
-                block = (anchor,) + extra
-                if has_cycle(block):
-                    rec(remaining - set(block), blocks + [block])
-
-    rec(set(g.vertices()), [])
-    if best[0] is None:
+    count = cover(full)[0]
+    if count > n:
         return OracleResult(False)
-    edges = []
-    for block in best[1]:
-        edges.extend(has_cycle(block))
-    return OracleResult(True, best[0], edges)
+    edges, s = [], full
+    while s:
+        block = cover(s)[1]
+        s ^= block
+        # walk a Hamiltonian path of the block back from an end next to
+        # its lowest vertex
+        first = (block & -block).bit_length() - 1
+        cycle, v = [first], first
+        while block != 1 << first:
+            v = (ends[block] & near[v]).bit_length() - 1
+            cycle.append(v)
+            block ^= 1 << v
+        edges += [(min(a, b) + 1, max(a, b) + 1)
+                  for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    return OracleResult(True, count, edges)
 
 
 def oracle_k_replica(g: Graph, k: int) -> OracleResult:

@@ -19,7 +19,7 @@ from ..errors import ParameterError
 from ..partition import (
     extend_fragment, fragment_states, join_fragments, normalize_partition,
 )
-from .base import FORGET_ACTION, ProblemDefinition, chain_edges
+from .base import ProblemDefinition, chain_edges
 
 OFF, LONE, DONE = 0, -1, -2
 
@@ -70,9 +70,7 @@ class AvgPathProblem(ProblemDefinition):
     def empty_state(self):
         return (0, 0)
 
-    def set_of_actions(self, ctx):
-        if ctx.kind != INTRODUCE:
-            return [FORGET_ACTION]
+    def introduce_actions(self, ctx):
         acts = [("skip",), ("new",)]
         acts += [("extend", j) for j in ctx.nbrs]
         acts += [("connect", j, k) for j, k in combinations(ctx.nbrs, 2)]

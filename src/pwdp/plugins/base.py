@@ -1,10 +1,12 @@
 """Problem plugin contract.
 
 A plugin binds a graph and problem parameters, and supplies everything
-the engine needs: the per-bag-size state space, the action set of each
-decomposition node, the transition of a state under an action and its
+the engine needs: the per-bag-size state space, the actions of each
+introduce node, the transition of a state under an action and its
 value change, normalization to canonical form, the direction values are
-ranked in, final-state acceptance, and certificate extraction/checking.
+ranked in, final-state acceptance, certificate extraction/checking and
+the certificate's output lines (certificate_lines, which pwdp solve
+--reconstruct prints).
 
 States are flat tuples of small integers.  Every plugin counts its
 states in closed form (count_states), so the engine can check a bag's
@@ -45,14 +47,15 @@ since reconstruction and DpRunResult.tables call them again to replay
 the run; reconstruct_solution then checks its certificate with
 check_certificate.
 
-Plugins share one action vocabulary: every forget node offers the single
-FORGET_ACTION, and an introduce action that picks graph edges lists the
-bag positions of their far ends right after its kind, as in
-("connect", j, k).  For plugins whose introduce actions list nothing
-else, chain_edges reads a certificate's edges off the reconstruction
-chain.  One plugin instance may run on several decompositions, so what
-it derives from a node travels in that node's actions, never in a cache
-keyed by node index.
+Plugins share one action vocabulary.  set_of_actions(ctx), which the
+engine calls, is defined here only: every forget node offers the single
+FORGET_ACTION, and an introduce node the plugin's introduce_actions(ctx).
+An introduce action that picks graph edges lists the bag positions of
+their far ends right after its kind, as in ("connect", j, k).  For
+plugins whose introduce actions list nothing else, chain_edges reads a
+certificate's edges off the reconstruction chain.  One plugin instance
+may run on several decompositions, so what it derives from a node
+travels in that node's actions, never in a cache keyed by node index.
 """
 from __future__ import annotations
 
@@ -92,6 +95,13 @@ class ProblemDefinition:
     # ----- expansion -----
 
     def set_of_actions(self, ctx) -> list:
+        """FORGET_ACTION alone at a forget node, else introduce_actions."""
+        if ctx.kind == INTRODUCE:
+            return self.introduce_actions(ctx)
+        return [FORGET_ACTION]
+
+    def introduce_actions(self, ctx) -> list:
+        """The actions of the introduce node ctx, in order."""
         raise NotImplementedError
 
     def transition(self, state: tuple, shape, action):
@@ -140,6 +150,10 @@ class ProblemDefinition:
 
     def check_certificate(self, certificate):
         """Independently re-verify; returns (ok, objective)."""
+        raise NotImplementedError
+
+    def certificate_lines(self, certificate):
+        """The certificate as output lines, without line ends."""
         raise NotImplementedError
 
 

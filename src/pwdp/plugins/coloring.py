@@ -6,7 +6,7 @@ import itertools
 from ..decomposition import INTRODUCE
 from ..errors import ParameterError
 from ..partition import count_partitions, normalize_partition, restricted_growth_strings
-from .base import FORGET_ACTION, ProblemDefinition
+from .base import ProblemDefinition
 
 COLOR = "color"
 
@@ -36,10 +36,8 @@ class ColoringProblem(ProblemDefinition):
     def initial_value(self):
         return 1
 
-    def set_of_actions(self, ctx):
-        if ctx.kind == INTRODUCE:
-            return [(COLOR, cx) for cx in range(1, self.C + 1)]
-        return [FORGET_ACTION]
+    def introduce_actions(self, ctx):
+        return [(COLOR, cx) for cx in range(1, self.C + 1)]
 
     def transition(self, state, shape, action):
         if action[0] == COLOR:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..decomposition import INTRODUCE
 from ..partition import (
     count_fragment_states, extend_fragment, fragment_states, join_fragments,
     normalize_partition,
 )
-from .base import FORGET_ACTION, ProblemDefinition, chain_edges
+from .base import ProblemDefinition, chain_edges
 
 LONE, SETTLED = -1, 0
 
@@ -41,9 +40,7 @@ class PathCoverProblem(ProblemDefinition):
         return count_fragment_states(nv, (LONE, SETTLED), self.pair_only,
                                      noncrossing=True)
 
-    def set_of_actions(self, ctx):
-        if ctx.kind != INTRODUCE:
-            return [FORGET_ACTION]
+    def introduce_actions(self, ctx):
         acts = [("new",)]
         acts += [("extend", j) for j in ctx.nbrs]
         acts += [("connect", j, k) for j, k in combinations(ctx.nbrs, 2)]
@@ -134,11 +131,9 @@ class CycleCoverProblem(PathCoverProblem):
     new_delta = 0
     connect_delta = 0
 
-    def set_of_actions(self, ctx):
-        acts = super().set_of_actions(ctx)
-        if ctx.kind == INTRODUCE:
-            acts += [("close", j, k) for j, k in combinations(ctx.nbrs, 2)]
-        return acts
+    def introduce_actions(self, ctx):
+        return super().introduce_actions(ctx) + [
+            ("close", j, k) for j, k in combinations(ctx.nbrs, 2)]
 
     def transition(self, state, shape, action):
         kind = action[0]

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from ..decomposition import INTRODUCE
-from .base import FORGET_ACTION, ProblemDefinition, chain_edges
+from .base import ProblemDefinition, chain_edges
 
 FREE, MATCHED, OBLIGATED = 0, 1, 2
 
@@ -27,10 +26,8 @@ class MinMaximalMatchingProblem(ProblemDefinition):
     def count_states(self, nv):
         return 3 ** nv
 
-    def set_of_actions(self, ctx):
-        if ctx.kind == INTRODUCE:
-            return [("skip",)] + [("add", j) for j in ctx.nbrs]
-        return [FORGET_ACTION]
+    def introduce_actions(self, ctx):
+        return [("skip",)] + [("add", j) for j in ctx.nbrs]
 
     def transition(self, state, shape, action):
         kind = action[0]

@@ -17,7 +17,7 @@ import itertools
 
 from ..decomposition import INTRODUCE
 from ..errors import NotApplicableError, ParameterError
-from .base import FORGET_ACTION, ProblemDefinition
+from .base import ProblemDefinition
 
 
 class RectCoverProblem(ProblemDefinition):
@@ -46,13 +46,11 @@ class RectCoverProblem(ProblemDefinition):
     def count_states(self, nv):
         return (self.R + 1) ** nv
 
-    def set_of_actions(self, ctx):
+    def introduce_actions(self, ctx):
         """skip, then one place per piece type t that fits at the new
         cell; each action ends with the bag position of the cell above
         (None on the top edge), and place carries the positions of the
         cells left of the anchor before it."""
-        if ctx.kind != INTRODUCE:
-            return [FORGET_ACTION]
         coords = self.graph.coords
         a, b = coords[ctx.vertex]
         pos_of = {coords[u]: i for i, u in enumerate(ctx.order_before)}

@@ -6,7 +6,7 @@ import itertools
 
 from ..decomposition import INTRODUCE
 from ..errors import ParameterError
-from .base import FORGET_ACTION, ProblemDefinition
+from .base import ProblemDefinition
 
 SELECT = ("select",)
 SKIP = ("skip",)
@@ -40,10 +40,8 @@ class KReplicaProblem(ProblemDefinition):
     def empty_state(self):
         return (0,)
 
-    def set_of_actions(self, ctx):
-        if ctx.kind == INTRODUCE:
-            return [SELECT, SKIP]
-        return [FORGET_ACTION]
+    def introduce_actions(self, ctx):
+        return [SELECT, SKIP]
 
     def transition(self, state, shape, action):
         # select's tag: the selected neighbors, whose edges pay penalty
@@ -99,10 +97,8 @@ class MwisProblem(ProblemDefinition):
     def count_states(self, nv):
         return 2 ** nv
 
-    def set_of_actions(self, ctx):
-        if ctx.kind == INTRODUCE:
-            return [SELECT, SKIP]
-        return [FORGET_ACTION]
+    def introduce_actions(self, ctx):
+        return [SELECT, SKIP]
 
     def transition(self, state, shape, action):
         if action[0] == "forget":

@@ -10,10 +10,9 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from ..decomposition import INTRODUCE
 from ..errors import NotApplicableError
 from ..partition import normalize_partition, restricted_growth_strings
-from .base import FORGET_ACTION, ProblemDefinition, chain_edges
+from .base import ProblemDefinition, chain_edges
 
 
 class MaxLeafTreeProblem(ProblemDefinition):
@@ -51,9 +50,7 @@ class MaxLeafTreeProblem(ProblemDefinition):
                          * a[n - k] for k in range(1, n + 1)))
         return a[nv]
 
-    def set_of_actions(self, ctx):
-        if ctx.kind != INTRODUCE:
-            return [FORGET_ACTION]
+    def introduce_actions(self, ctx):
         acts = [("new",)]
         acts += [("leaf", j) for j in ctx.nbrs]
         for size in range(2, len(ctx.nbrs) + 1):

@@ -20,7 +20,7 @@ from pwdp.errors import (
 from pwdp.graph import Graph, PartialGrid, grid_to_graph
 from pwdp.oracle import oracle_mwis
 from pwdp.plugins import PLUGIN_NAMES, make_plugin
-from pwdp.plugins.base import ProblemDefinition
+from pwdp.plugins.base import FORGET_ACTION, ProblemDefinition
 from pwdp.plugins.coloring import CanonicalColoringProblem
 from pwdp.plugins.replica import MwisProblem
 
@@ -427,6 +427,18 @@ def band(n, bag, seed, weighted):
               selection_costs=weights(vertices), edge_weights=weights(edges),
               edge_penalties=weights(edges))
     return g, nicify(pd, g)
+
+
+@pytest.mark.parametrize("name", PLUGIN_NAMES)
+def test_forget_action_comes_from_the_plugin_base(name):
+    plugin, g, npd = weighted_instance(name, "sum")
+    assert type(plugin).set_of_actions is ProblemDefinition.set_of_actions
+    contexts = build_contexts(g, npd)
+    assert {ctx.kind for ctx in contexts} == {INTRODUCE, FORGET}
+    for ctx in contexts:
+        assert plugin.set_of_actions(ctx) == (
+            [FORGET_ACTION] if ctx.kind == FORGET
+            else plugin.introduce_actions(ctx))
 
 
 class TestMemo:

@@ -1,9 +1,9 @@
 """Byte-identity gate: every golden case prints what it printed when the
 hashes in golden/hashes.json were recorded.
 
-A case is one `pwdp solve` run through pwdp.cli.main; its record is the
-exit code and the sha256 of stdout less the `time` line, the only line
-that varies between runs.  The cases:
+A case is one `pwdp solve` or `pwdp oracle` run through pwdp.cli.main;
+its record is the exit code and the sha256 of stdout less the `time`
+line, the only line that varies between runs.  The cases:
 
 - the seed-1 `--reconstruct` solves of the benchmark's grid-conn,
   long-thin and file-decomp workloads, written into a temporary
@@ -12,7 +12,9 @@ that varies between runs.  The cases:
   one plugin mode that combines by max, not by addition;
 - `--dump-tables --reconstruct` on each EVERY_PLUGIN case of
   test_engine.py, its weighted graph and its grid sweep written as an
-  instance file and a decomposition file (rect-cover: the grid file).
+  instance file and a decomposition file (rect-cover: the grid file);
+- `pwdp oracle` for each EVERY_PLUGIN case on the clean 3x4 grid, the
+  largest full grid the oracles admit (n = 12).
 
 A change that alters a tie-break, an origin, a certificate or a table
 fails here.  A change that alters output on purpose regenerates the
@@ -50,17 +52,20 @@ def _perfbench_instances():
     return sys.modules[name]
 
 
+PARAMS = ["-C", "3", "-k", "4", "-L", "2", "-U", "5"]
+PIECES = ["--piece", "1x2", "--piece", "2x1", "--piece", "2x2"]
+
+
 def _plugin_case(name, mode, workdir):
     """The solve argv of one EVERY_PLUGIN case, its files under workdir."""
     plugin, g, npd = weighted_instance(name, mode)
-    argv = ["solve", name, "--dump-tables", "--reconstruct", "-C", "3",
-            "-k", "4", "-L", "2", "-U", "5", "--mode", mode]
+    argv = ["solve", name, "--dump-tables", "--reconstruct", *PARAMS,
+            "--mode", mode]
     stem = workdir / f"{name}-{mode}"
     if name == "rect-cover":
         path = stem.with_suffix(".grid")
         path.write_text(serialize_grid(plugin.grid))
-        return argv + ["--grid", str(path), "--piece", "1x2",
-                       "--piece", "2x1", "--piece", "2x2"]
+        return argv + ["--grid", str(path), *PIECES]
     gpath, dpath = stem.with_suffix(".g"), stem.with_suffix(".pd")
     gpath.write_text(g.serialize())
     dpath.write_text(npd.to_path_decomposition().serialize())
@@ -84,6 +89,12 @@ def golden_cases(workdir):
     cases[f"{band}-max"] = cases[band] + ["--mode", "max"]
     for name, mode in EVERY_PLUGIN:
         cases[f"tables/{name}-{mode}"] = _plugin_case(name, mode, workdir)
+    grid = workdir / "3x4.grid"
+    grid.write_text("grid 3 4\n....\n....\n....\n")
+    for name, mode in EVERY_PLUGIN:
+        cases[f"oracle/{name}-{mode}"] = [
+            "oracle", name, "--grid", str(grid), *PARAMS, "--mode", mode,
+            *(PIECES if name == "rect-cover" else ())]
     return cases
 
 

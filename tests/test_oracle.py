@@ -11,13 +11,14 @@ import pytest
 import pwdp
 
 from pwdp.errors import NotApplicableError, ParameterError, SizeLimitError
-from pwdp.graph import Graph, PartialGrid
+from pwdp.graph import Graph, PartialGrid, grid_to_graph
 from pwdp.oracle import (
     oracle_avg_path, oracle_chromatic, oracle_coloring, oracle_cycle_cover,
     oracle_k_replica, oracle_max_leaf_tree, oracle_min_maximal_matching,
     oracle_mwis, oracle_path_cover, oracle_penalty_coloring,
     oracle_rect_cover, oracle_solve,
 )
+from pwdp.plugins import make_plugin
 
 
 def path_graph(n, **kw):
@@ -145,12 +146,48 @@ def test_cycle_cover_values():
     assert not oracle_cycle_cover(path_graph(3)).feasible
     two_tri = Graph(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     assert oracle_cycle_cover(two_tri).objective == 2
+    # n = 12, one Hamiltonian cycle
+    assert oracle_cycle_cover(grid_to_graph(full_grid(3, 4))).objective == 1
 
 
 def test_cycle_cover_c6():
     r = oracle_cycle_cover(cycle_graph(6))
     assert r.objective == 1
     assert len(r.certificate) == 6
+
+
+def fewest_cycles_by_permutation(g):
+    """The fewest cycles over every successor map of a cycle cover: a
+    permutation that moves each vertex to a neighbor and has no 2-cycle;
+    None when there is none."""
+    best = None
+    for succ in itertools.permutations(g.vertices()):
+        nxt = dict(zip(g.vertices(), succ))
+        if all(g.adjacent(v, u) and nxt[u] != v for v, u in nxt.items()):
+            # each cycle counted at its lowest vertex
+            cycles = 0
+            for v in g.vertices():
+                u = nxt[v]
+                while u > v:
+                    u = nxt[u]
+                cycles += u == v
+            best = cycles if best is None else min(best, cycles)
+    return best
+
+
+def test_cycle_cover_matches_every_successor_map():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        g = Graph(n, [e for e in pairs if rng.random() < 0.7])
+        r = oracle_cycle_cover(g)
+        expected = fewest_cycles_by_permutation(g)
+        assert r.feasible == (expected is not None)
+        if r.feasible:
+            assert r.objective == expected
+            plugin = make_plugin("cycle-cover", g)
+            assert plugin.check_certificate(r.certificate) == (True, expected)
 
 
 def test_k_replica_values():
